@@ -13,10 +13,10 @@
 #include <filesystem>
 
 #include "core/architect.h"
-#include "core/broker.h"
 #include "core/migration.h"
 #include "core/plant.h"
 #include "core/shop.h"
+#include "federation/federation.h"
 #include "storage/artifact_store.h"
 #include "warehouse/warehouse.h"
 #include "workload/request_gen.h"
@@ -84,9 +84,11 @@ int main() {
   ph.name = "hiddenplant";
   core::VmPlant hidden(ph, &store, &wh);
   (void)hidden.attach_to_bus(&bus, nullptr);  // bus endpoint, NOT registered
-  core::VmBroker broker(core::BrokerConfig{.name = "gateway-broker",
-                                           .bid_markup = 2.0},
-                        &bus, &registry);
+  // bid_ttl_s = 0: no bid cache, every estimate is priced at the members.
+  federation::ShardBroker broker({.name = "gateway-broker",
+                                  .bid_markup = 2.0,
+                                  .bid_ttl_s = 0.0},
+                                 &bus, &registry);
   broker.add_member("hiddenplant");
   (void)broker.attach_to_bus();
 

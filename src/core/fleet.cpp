@@ -436,15 +436,6 @@ obs::MetricsSnapshot FleetAggregator::fleet_snapshot() const {
   return fleet;
 }
 
-std::size_t FleetAggregator::fresh_plants() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  std::size_t fresh = 0;
-  for (const auto& [plant, state] : plants_) {
-    if (state.fresh) ++fresh;
-  }
-  return fresh;
-}
-
 void FleetAggregator::start_periodic(std::chrono::milliseconds interval) {
   if (thread_.joinable()) return;
   {

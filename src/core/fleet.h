@@ -161,8 +161,7 @@ class FleetAggregator {
   /// (histograms included) under "fleet.*" names.
   obs::MetricsSnapshot fleet_snapshot() const;
 
-  /// Plants answering the last sweep / sweeps completed.
-  std::size_t fresh_plants() const;
+  /// Sweeps completed.
   std::uint64_t sweeps() const { return sweeps_.load(); }
 
   /// Run sweep() on a background thread every `interval` (wall time; the

@@ -356,14 +356,6 @@ Result<ProductionResult> ProductionLine::configure(
   return result;
 }
 
-Result<ProductionResult> ProductionLine::produce(
-    const ProductionPlan& plan, const CreateRequest& request,
-    const std::string& vm_id, const std::string& network_name) {
-  auto report = clone_and_start(plan.golden, vm_id);
-  if (!report.ok()) return report.propagate<ProductionResult>();
-  return configure(plan, request, vm_id, network_name);
-}
-
 Status ProductionLine::collect(const std::string& vm_id) {
   return hypervisor_->destroy_vm(vm_id);
 }

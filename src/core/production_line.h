@@ -68,26 +68,19 @@ class ProductionLine {
       : hypervisor_(hypervisor),
         clone_base_dir_(std::move(clone_base_dir)) {}
 
-  /// Execute a production plan end to end: clone, start, configure.
-  /// `network_name` is the host-only network the plant allocated for the
-  /// request's domain ("" when the plant runs without virtual networking).
-  /// On error the partially-built VM has already been destroyed.
-  util::Result<ProductionResult> produce(const ProductionPlan& plan,
-                                         const CreateRequest& request,
-                                         const std::string& vm_id,
-                                         const std::string& network_name);
-
-  /// Phase 1 alone: clone a golden image and instantiate it, with NO
-  /// configuration.  Used for speculative pre-creation (paper §6 future
-  /// work): the expensive clone+resume happens ahead of demand, and
+  /// Phase 1: clone a golden image and instantiate it, with NO
+  /// configuration.  A create runs it right before configure(); speculative
+  /// pre-creation (paper §6 future work) runs it ahead of demand, and
   /// configure() finishes the job when a matching request arrives.
   /// On error the partial clone has been destroyed.
   util::Result<storage::CloneReport> clone_and_start(
       const warehouse::GoldenImage& golden, const std::string& vm_id);
 
-  /// Phase 2 alone: run the plan's remaining actions on an already-running
-  /// instance (created by clone_and_start).  On error the VM has been
-  /// destroyed.
+  /// Phase 2: run the plan's remaining actions on an already-running
+  /// instance (created by clone_and_start).  `network_name` is the
+  /// host-only network the plant allocated for the request's domain (""
+  /// when the plant runs without virtual networking).  On error the VM has
+  /// been destroyed.
   util::Result<ProductionResult> configure(const ProductionPlan& plan,
                                            const CreateRequest& request,
                                            const std::string& vm_id,

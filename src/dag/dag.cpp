@@ -89,10 +89,6 @@ Status ConfigDag::set_error_subgraph(const std::string& action_id,
   return Status();
 }
 
-bool ConfigDag::has_action(const std::string& id) const {
-  return nodes_.count(id) != 0;
-}
-
 const Action* ConfigDag::action(const std::string& id) const {
   auto it = nodes_.find(id);
   return it == nodes_.end() ? nullptr : &it->second.action;

@@ -49,7 +49,6 @@ class ConfigDag {
   // -- Introspection --------------------------------------------------------
   std::size_t size() const { return nodes_.size(); }
   bool empty() const { return nodes_.empty(); }
-  bool has_action(const std::string& id) const;
   const Action* action(const std::string& id) const;
 
   /// Node ids in insertion order.

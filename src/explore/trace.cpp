@@ -119,15 +119,6 @@ Result<Trace> Trace::from_xml_string(const std::string& text) {
   return trace;
 }
 
-std::uint64_t fnv1a64(const std::string& bytes) {
-  std::uint64_t hash = 0xcbf29ce484222325ULL;
-  for (unsigned char c : bytes) {
-    hash ^= c;
-    hash *= 0x100000001b3ULL;
-  }
-  return hash;
-}
-
 std::string digest_hex(const std::string& bytes) {
   static const char* kHex = "0123456789abcdef";
   std::uint64_t hash = fnv1a64(bytes);

@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "util/bytebuffer.h"
 #include "util/error.h"
 
 namespace vmp::explore {
@@ -61,7 +62,7 @@ struct Trace {
 
 /// FNV-1a over a byte string; the digest primitive scenarios build their
 /// terminal-state digests from (stable across platforms and processes).
-std::uint64_t fnv1a64(const std::string& bytes);
+using util::fnv1a64;
 /// 16-char lowercase hex of fnv1a64.
 std::string digest_hex(const std::string& bytes);
 

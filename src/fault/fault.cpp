@@ -285,11 +285,6 @@ void FaultRegistry::set_decider(Decider decider) {
   decider_ = std::move(decider);
 }
 
-bool FaultRegistry::exploring() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return static_cast<bool>(decider_);
-}
-
 void FaultRegistry::set_fire_listener(FireListener listener) {
   std::lock_guard<std::mutex> lock(mutex_);
   fire_listener_ = std::move(listener);

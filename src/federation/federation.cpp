@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <memory>
 
 #include "classad/classad.h"
 #include "obs/export.h"
@@ -171,16 +172,20 @@ ShardBroker::collect_member_bids(
     std::lock_guard<std::mutex> lock(mutex_);
     member_list = members_;
   }
+  // Parse each class once per refresh; every member's batch gets clones.
+  std::vector<std::pair<std::string, std::unique_ptr<xml::Element>>> classes;
+  for (const auto& [key, request_xml] : batch) {
+    auto parsed = xml::parse(request_xml);
+    if (parsed.ok()) classes.emplace_back(key, std::move(parsed.value()));
+  }
   std::map<std::string, std::vector<std::pair<double, std::string>>> bids;
   for (const std::string& member : member_list) {
     net::Message m = net::Message::request("vmplant.estimate_batch",
                                            config_.name, member, "refresh");
-    for (const auto& [key, request_xml] : batch) {
-      auto parsed = xml::parse(request_xml);
-      if (!parsed.ok()) continue;
+    for (const auto& [key, request] : classes) {
       xml::Element& cls = m.body().add_child("class");
       cls.set_attr("key", key);
-      cls.adopt_child(std::move(parsed.value()));
+      cls.adopt_child(request->clone());
     }
     auto response = net::call_expecting_success(bus_, m);
     if (!response.ok()) {
@@ -249,8 +254,10 @@ Result<ShardBroker::Selection> ShardBroker::select(
   {
     std::lock_guard<std::mutex> lock(mutex_);
     auto it = cache_.find(class_key);
+    // Strictly younger than the TTL: bid_ttl_s = 0 never serves from
+    // cache, even when the clock has not moved since the refresh.
     if (it != cache_.end() && it->second.refreshed_at >= 0.0 &&
-        t - it->second.refreshed_at <= config_.bid_ttl_s &&
+        t - it->second.refreshed_at < config_.bid_ttl_s &&
         !it->second.member_bids.empty()) {
       fresh = true;
       ++it->second.served;

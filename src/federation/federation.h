@@ -1,15 +1,18 @@
-// Sharded shop federation: a VMBroker hierarchy with cached bid
-// aggregation and headroom-aware routing (DESIGN.md §16).
+// VMBroker: indirect bidding through an aggregation point, grown into a
+// sharded shop federation with cached bid aggregation and headroom-aware
+// routing (DESIGN.md §16).
 //
 // Paper, Section 3.1: the binding protocol lets VMShop "request and
 // collect bids containing estimated VM creation costs from VMPlants
 // (directly, or indirectly through VMBrokers)", and Section 3.3 sketches
 // gateway deployments where plants live behind a private network.  The
-// seed realization (core/broker.h) already hides member plants behind a
-// broker endpoint — but it re-fans every estimate to every member, so a
-// shop in front of brokers still pays O(plants) bid messages per create.
+// ShardBroker registers in the public registry as a "vmplant" (so shops
+// bid against it transparently) while its members stay off the registry,
+// reachable only through the broker's bus endpoint.  Estimates resolve
+// to the cheapest member's bid plus a markup, creations go to that
+// member, and query/collect route by the broker's own VMID map.
 //
-// The ShardBroker grows that seed into a federation node:
+// On top of that the ShardBroker is a federation node:
 //
 //   * it maintains a cached, TTL'd AGGREGATE bid per DAG-class for its
 //     subtree.  A fresh cache entry answers the shop's vmplant.estimate
@@ -63,14 +66,15 @@ std::string dag_class_key(const core::CreateRequest& request);
 
 struct ShardBrokerConfig {
   std::string name = "shard0";
-  /// Added to every aggregate bid (the broker's cut / gateway cost),
-  /// exactly like core::BrokerConfig::bid_markup.
+  /// Added to every aggregate bid (the broker's cut / gateway cost).
   double bid_markup = 0.0;
-  /// Cached aggregate bids older than this many clock seconds are stale:
-  /// estimates and creates fall back to a synchronous single-class
-  /// refresh (counted in broker.bids.refreshed.count).  The clock is
-  /// whatever set_clock installed — wall seconds by default, the sim
-  /// clock in deployments.
+  /// A cached aggregate bid serves only while its age is strictly below
+  /// this many clock seconds; older (stale) entries make estimates and
+  /// creates fall back to a synchronous single-class refresh (counted in
+  /// broker.bids.refreshed.count).  0 never serves from cache: every
+  /// request re-prices its class at the members, the plain VMBroker of
+  /// paper §3.1.  The clock is whatever set_clock installed — wall
+  /// seconds by default, the sim clock in deployments.
   double bid_ttl_s = 30.0;
   /// How strongly subtree headroom pressure scales bids:
   ///   effective = (min member cost + markup) * (1 + weight * pressure)

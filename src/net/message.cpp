@@ -131,15 +131,4 @@ Result<Message> Message::deserialize(const std::string& wire) {
   return m;
 }
 
-Message Message::clone_shallow_header() const {
-  Message m;
-  m.kind_ = kind_;
-  m.service_ = service_;
-  m.from_ = from_;
-  m.to_ = to_;
-  m.correlation_ = correlation_;
-  m.trace_ = trace_;
-  return m;
-}
-
 }  // namespace vmp::net

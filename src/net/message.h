@@ -66,8 +66,6 @@ class Message {
   std::string serialize() const;
   static util::Result<Message> deserialize(const std::string& wire);
 
-  Message clone_shallow_header() const;
-
  private:
   MessageKind kind_ = MessageKind::kRequest;
   std::string service_;

@@ -8,6 +8,7 @@
 #include "fault/fault.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "util/bytebuffer.h"
 #include "util/logging.h"
 
 namespace vmp::obs {
@@ -39,15 +40,6 @@ constexpr char kSegmentSuffix[] = ".vmj";
 /// never produces one (ids are capped far below), so an oversized length
 /// prefix means the tail bytes are garbage.
 constexpr std::uint32_t kMaxRecordBytes = 64u << 10;
-
-std::uint32_t fnv1a32(const char* data, std::size_t size) {
-  std::uint32_t hash = 2166136261u;
-  for (std::size_t i = 0; i < size; ++i) {
-    hash ^= static_cast<unsigned char>(data[i]);
-    hash *= 16777619u;
-  }
-  return hash;
-}
 
 void put_u16(std::string* out, std::uint16_t v) {
   out->push_back(static_cast<char>(v & 0xff));
@@ -219,7 +211,7 @@ void Journal::encode(const JournalRecord& record, std::string* out) {
 
   put_u32(out, static_cast<std::uint32_t>(payload.size()));
   out->append(payload);
-  put_u32(out, fnv1a32(payload.data(), payload.size()));
+  put_u32(out, util::fnv1a32(payload));
 }
 
 std::size_t Journal::decode(const char* data, std::size_t size,
@@ -229,7 +221,7 @@ std::size_t Journal::decode(const char* data, std::size_t size,
   // header(4) + payload + checksum(4); the fixed payload head is 51 bytes.
   if (len < 51 || len > kMaxRecordBytes || size < 8u + len) return 0;
   const char* payload = data + 4;
-  if (get_u32(payload + len) != fnv1a32(payload, len)) return 0;
+  if (get_u32(payload + len) != util::fnv1a32({payload, len})) return 0;
   const std::uint16_t id_len = get_u16(payload + 49);
   // Either the payload ends at the id (pre-trace format, trace_id empty) or
   // a [u16 trace_len | trace] block follows and must account for every

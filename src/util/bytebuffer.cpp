@@ -15,7 +15,7 @@ std::uint32_t fnv1a32(std::string_view data) noexcept {
 }
 
 std::uint64_t fnv1a64(std::string_view data) noexcept {
-  std::uint64_t hash = 1469598103934665603ull;
+  std::uint64_t hash = 14695981039346656037ull;
   for (const char c : data) {
     hash ^= static_cast<unsigned char>(c);
     hash *= 1099511628211ull;
@@ -89,13 +89,6 @@ void ByteBuffer::put_svarint(std::int64_t v) {
 void ByteBuffer::put_string(std::string_view v) {
   put_varint(v.size());
   out_.append(v.data(), v.size());
-}
-
-void ByteBuffer::patch_u32(std::size_t offset, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out_[offset + static_cast<std::size_t>(i)] =
-        static_cast<char>((v >> (8 * i)) & 0xff);
-  }
 }
 
 const char* ByteReader::take(std::size_t n) {

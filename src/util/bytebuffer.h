@@ -27,8 +27,8 @@
 
 namespace vmp::util {
 
-/// FNV-1a over a byte range; journal segment checksums (32-bit) and content
-/// digests (64-bit).
+/// FNV-1a over a byte range: journal record checksums (32-bit); explore
+/// digests, warehouse action digests and derived seeds (64-bit).
 std::uint32_t fnv1a32(std::string_view data) noexcept;
 std::uint64_t fnv1a64(std::string_view data) noexcept;
 
@@ -59,9 +59,6 @@ class ByteBuffer {
   /// Varint byte length, then the raw bytes.
   void put_string(std::string_view v);
   void append_raw(std::string_view v) { out_.append(v.data(), v.size()); }
-
-  /// Overwrite 4 bytes at `offset` (length back-patching).
-  void patch_u32(std::size_t offset, std::uint32_t v);
 
   /// Pre-size the backing store (encoders that know roughly how big the
   /// payload will be avoid the append-growth reallocations).

@@ -3,6 +3,8 @@
 #include <cmath>
 #include <numbers>
 
+#include "util/bytebuffer.h"
+
 namespace vmp::util {
 
 std::uint64_t SplitMix64::next_u64() {
@@ -58,12 +60,7 @@ bool SplitMix64::bernoulli(double p) {
 
 std::uint64_t derive_seed(std::uint64_t parent_seed, const std::string& name) {
   // FNV-1a over the name, then mixed with the parent through SplitMix64.
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (unsigned char c : name) {
-    h ^= c;
-    h *= 0x100000001b3ULL;
-  }
-  SplitMix64 mixer(parent_seed ^ h);
+  SplitMix64 mixer(parent_seed ^ fnv1a64(name));
   return mixer.next_u64();
 }
 

@@ -1,6 +1,7 @@
 #include "warehouse/warehouse.h"
 
 #include "obs/metrics.h"
+#include "util/bytebuffer.h"
 #include "xml/xml.h"
 
 namespace vmp::warehouse {
@@ -30,23 +31,12 @@ struct WarehouseMetrics {
   }
 };
 
-/// FNV-1a 64-bit: tiny, deterministic across runs (the digests never leave
-/// the process, so stability across versions does not matter).
-std::uint64_t hash_signature(const std::string& signature) {
-  std::uint64_t h = 1469598103934665603ull;
-  for (const char c : signature) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
 }  // namespace
 
 std::uint64_t action_mask(const std::vector<std::string>& signatures) {
   std::uint64_t mask = 0;
   for (const std::string& sig : signatures) {
-    const std::uint64_t h = hash_signature(sig);
+    const std::uint64_t h = util::fnv1a64(sig);
     mask |= 1ull << (h & 63);
     mask |= 1ull << ((h >> 21) & 63);
     mask |= 1ull << ((h >> 42) & 63);
@@ -58,7 +48,7 @@ std::uint64_t action_fingerprint(const std::vector<std::string>& signatures) {
   // Wrapping sum (not XOR): duplicate signatures must not cancel out, since
   // the fingerprint identifies a multiset.
   std::uint64_t fp = 0;
-  for (const std::string& sig : signatures) fp += hash_signature(sig);
+  for (const std::string& sig : signatures) fp += util::fnv1a64(sig);
   return fp;
 }
 

@@ -140,6 +140,18 @@ TEST(ByteBufferTest, CheckCountRejectsImplausibleCounts) {
 
 // ---- Frame layer ------------------------------------------------------------
 
+TEST(ByteBufferTest, FnvMatchesPublishedTestVectors) {
+  // The FNV-1a reference vectors (offset bases 0x811c9dc5 and
+  // 0xcbf29ce484222325): journal checksums, explore digests and derived
+  // seeds all hash through these two functions.
+  EXPECT_EQ(util::fnv1a32(""), 0x811c9dc5u);
+  EXPECT_EQ(util::fnv1a32("a"), 0xe40c292cu);
+  EXPECT_EQ(util::fnv1a32("foobar"), 0xbf9cf968u);
+  EXPECT_EQ(util::fnv1a64(""), 0xcbf29ce484222325ull);
+  EXPECT_EQ(util::fnv1a64("a"), 0xaf63dc4c8601ec8cull);
+  EXPECT_EQ(util::fnv1a64("foobar"), 0x85944171f73967e8ull);
+}
+
 TEST(FrameTest, SealAndOpen) {
   const std::string frame =
       codec::seal_frame(codec::FrameTag::kClassAd, "payload-bytes");

@@ -1,14 +1,14 @@
 // Federation tests (DESIGN.md §16): the ShardBroker's cached bid
-// aggregation, headroom-aware routing, and graceful degradation — plus the
-// pre-existing VmBroker seed paths (markup arithmetic, winning-member
-// forwarding, VMID-map routing, shop failover) that previously had no
-// dedicated suite, and the shop-side bid-collection robustness knobs.
+// aggregation, headroom-aware routing, and graceful degradation; the plain
+// VMBroker paths at bid_ttl_s = 0 (BrokerTest: hidden members, shop
+// failover; VmBrokerSeedTest: markup arithmetic, winning-member forwarding,
+// VMID-map routing); and the shop-side bid-collection robustness knobs.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 
 #include "cluster/deployment.h"
-#include "core/broker.h"
 #include "core/fleet.h"
 #include "core/plant.h"
 #include "core/shop.h"
@@ -457,20 +457,155 @@ TEST_F(FederationTest, FleetSweepPublishesPerShardBrokerAds) {
             1);
 }
 
-// -- Pre-existing VmBroker seed paths -----------------------------------------------
+// -- VMBroker (paper §3.1, §3.3): a ShardBroker with bid_ttl_s = 0 -----------------
 
+TEST_F(FederationTest, ZeroTtlPricesEveryEstimateAtTheMembers) {
+  // No cache hit even on this static clock: each estimate costs one shop
+  // call plus one batch per member, and nothing more.
+  constexpr std::size_t kMembers = 3;
+  auto shard = make_shard({.name = "fedshardZ", .bid_ttl_s = 0.0});
+  std::vector<std::unique_ptr<core::VmPlant>> plants;
+  for (std::size_t i = 0; i < kMembers; ++i) {
+    const std::string name = "zeroZ" + std::to_string(i);
+    plants.push_back(make_member(name));
+    shard->add_member(name);
+  }
+  core::ShopConfig sc;
+  sc.name = "shopZ";
+  core::VmShop shop(sc, &bus_, &registry_);
+  ASSERT_TRUE(shop.attach_to_bus().ok());
+  const auto request = workload::workspace_request(64, 0, "d");
+
+  for (int round = 0; round < 2; ++round) {
+    const std::uint64_t calls_before = bus_.calls_total();
+    ASSERT_EQ(shop.collect_bids(request).size(), 1u);
+    EXPECT_EQ(bus_.calls_total() - calls_before, 1u + kMembers);
+  }
+  EXPECT_EQ(shard->bids_cached_served(), 0u);
+  EXPECT_EQ(shard->bids_refreshed(), 2u);
+}
+
+/// The plain VMBroker: two hidden member plants reachable only through the
+/// broker, one public plant, and no bid cache — every estimate and every
+/// create prices the request at the members.
+class BrokerTest : public FederationTest {
+ protected:
+  void SetUp() override {
+    FederationTest::SetUp();
+    hidden0_ = make_member("hidden0");
+    hidden1_ = make_member("hidden1");
+    public0_ = make_plant("public0");
+    ASSERT_TRUE(public0_->attach_to_bus(&bus_, &registry_).ok());
+    broker_ = make_shard({.name = "broker0", .bid_ttl_s = 0.0});
+    broker_->add_member("hidden0");
+    broker_->add_member("hidden1");
+    shop_ = std::make_unique<core::VmShop>(core::ShopConfig{}, &bus_,
+                                           &registry_);
+    ASSERT_TRUE(shop_->attach_to_bus().ok());
+  }
+  void TearDown() override {
+    shop_.reset();
+    broker_.reset();
+    hidden0_.reset();
+    hidden1_.reset();
+    public0_.reset();
+    FederationTest::TearDown();
+  }
+
+  std::unique_ptr<core::VmPlant> hidden0_, hidden1_, public0_;
+  std::unique_ptr<federation::ShardBroker> broker_;
+  std::unique_ptr<core::VmShop> shop_;
+};
+
+TEST_F(BrokerTest, ShopSeesBrokerAsAPlant) {
+  auto bids = shop_->collect_bids(workload::workspace_request(64, 0, "d"));
+  // public0 + broker (representing two hidden plants) = 2 bids.
+  ASSERT_EQ(bids.size(), 2u);
+}
+
+TEST_F(BrokerTest, CreationRoutesThroughBrokerToHiddenPlant) {
+  // Make the public plant expensive by marking it down: the broker wins.
+  bus_.set_down("public0", true);
+  auto ad = shop_->create(workload::workspace_request(64, 0, "ufl.edu"));
+  ASSERT_TRUE(ad.ok()) << ad.error().to_string();
+  const std::string plant = ad.value().get_string(core::attrs::kPlant).value();
+  EXPECT_TRUE(plant == "hidden0" || plant == "hidden1") << plant;
+  EXPECT_EQ(broker_->creations_forwarded(), 1u);
+  EXPECT_EQ(hidden0_->active_vms() + hidden1_->active_vms(), 1u);
+}
+
+TEST_F(BrokerTest, QueryAndDestroyRouteThroughBroker) {
+  bus_.set_down("public0", true);
+  auto ad = shop_->create(workload::workspace_request(32, 0, "d"));
+  ASSERT_TRUE(ad.ok());
+  const std::string vm_id = ad.value().get_string(core::attrs::kVmId).value();
+  bus_.set_down("public0", false);
+
+  auto q = shop_->query(vm_id);
+  ASSERT_TRUE(q.ok()) << q.error().to_string();
+  EXPECT_EQ(q.value().get_string(core::attrs::kVmId).value(), vm_id);
+
+  ASSERT_TRUE(shop_->destroy(vm_id).ok());
+  EXPECT_EQ(hidden0_->active_vms() + hidden1_->active_vms(), 0u);
+}
+
+TEST_F(BrokerTest, MarkupRaisesBrokerBids) {
+  federation::ShardBroker pricey(
+      {.name = "pricey", .bid_markup = 10.0, .bid_ttl_s = 0.0}, &bus_,
+      &registry_);
+  pricey.add_member("hidden0");
+  ASSERT_TRUE(pricey.attach_to_bus().ok());
+
+  auto bids = shop_->collect_bids(workload::workspace_request(64, 0, "d"));
+  double broker_bid = -1, pricey_bid = -1;
+  for (const core::Bid& bid : bids) {
+    if (bid.plant_address == "broker0") broker_bid = bid.cost;
+    if (bid.plant_address == "pricey") pricey_bid = bid.cost;
+  }
+  ASSERT_GE(broker_bid, 0.0);
+  ASSERT_GE(pricey_bid, 0.0);
+  EXPECT_DOUBLE_EQ(pricey_bid, broker_bid + 10.0);
+}
+
+TEST_F(BrokerTest, BrokerWithNoMembersDeclines) {
+  federation::ShardBroker empty({.name = "empty", .bid_ttl_s = 0.0}, &bus_,
+                                &registry_);
+  ASSERT_TRUE(empty.attach_to_bus().ok());
+  net::Message m = net::Message::request("vmplant.estimate", "x", "empty", "c");
+  workload::workspace_request(64, 0, "d").to_xml(&m.body());
+  auto response = net::call_expecting_success(&bus_, m);
+  ASSERT_FALSE(response.ok());
+  EXPECT_EQ(response.error().code(), util::ErrorCode::kNoBids);
+}
+
+TEST_F(BrokerTest, ShopFailsOverWhenChosenMembersFailMidCreate) {
+  // public0 stands by as the shop's failover target.  Warm hidden0 so the
+  // broker's bid beats public0's — the shop must genuinely pick the
+  // broker first.
+  ASSERT_TRUE(hidden0_->create(workload::workspace_request(256, 0, "d")).ok());
+  // Member creates fail mid-request (the VMM resume fault targets only
+  // member-hosted vm ids): the broker bids fine, every member it tries
+  // then faults the creation, and the shop fails over to its next-best bid.
+  fault::ScopedFaultPlan scoped(
+      fault::FaultPlan::parse("hypervisor.resume:target=hidden").value());
+  auto ad = shop_->create(workload::workspace_request(64, 0, "d"));
+  ASSERT_TRUE(ad.ok()) << ad.error().to_string();
+  EXPECT_EQ(ad.value().get_string(core::attrs::kPlant).value(), "public0");
+  EXPECT_GE(shop_->failovers(), 1u);
+}
+
+/// The seed's broker paths, on a TTL-0 ShardBroker with a markup of 2:
+/// two hidden members and no public plant.
 class VmBrokerSeedTest : public FederationTest {
  protected:
   void SetUp() override {
     FederationTest::SetUp();
     member0_ = make_member("seedM0");
     member1_ = make_member("seedM1");
-    broker_ = std::make_unique<core::VmBroker>(
-        core::BrokerConfig{.name = "seedbroker", .bid_markup = 2.0}, &bus_,
-        &registry_);
+    broker_ = make_shard(
+        {.name = "seedbroker", .bid_markup = 2.0, .bid_ttl_s = 0.0});
     broker_->add_member("seedM0");
     broker_->add_member("seedM1");
-    ASSERT_TRUE(broker_->attach_to_bus().ok());
     shop_ = std::make_unique<core::VmShop>(
         core::ShopConfig{.name = "seedshop"}, &bus_, &registry_);
     ASSERT_TRUE(shop_->attach_to_bus().ok());
@@ -484,7 +619,7 @@ class VmBrokerSeedTest : public FederationTest {
   }
 
   std::unique_ptr<core::VmPlant> member0_, member1_;
-  std::unique_ptr<core::VmBroker> broker_;
+  std::unique_ptr<federation::ShardBroker> broker_;
   std::unique_ptr<core::VmShop> shop_;
 };
 
@@ -519,24 +654,6 @@ TEST_F(VmBrokerSeedTest, QueryAndCollectRouteByVmidMap) {
   EXPECT_EQ(member0_->active_vms() + member1_->active_vms(), 0u);
   // The VMID map forgot the VM: a re-query faults kNotFound.
   EXPECT_FALSE(shop_->query(vm_id).ok());
-}
-
-TEST_F(VmBrokerSeedTest, ShopFailsOverWhenChosenMembersFailMidCreate) {
-  // A public plant stands by as the shop's failover target.
-  auto standby = make_plant("standbyN");
-  ASSERT_TRUE(standby->attach_to_bus(&bus_, &registry_).ok());
-  // Warm member0 so the broker's bid beats the standby's despite the
-  // markup — the shop must genuinely pick the broker first.
-  ASSERT_TRUE(member0_->create(workload::workspace_request(256, 0, "d")).ok());
-  // Member creates fail mid-request (the VMM resume fault targets only
-  // member-hosted vm ids): the broker bids fine, its chosen member then
-  // faults the creation, and the shop fails over to its next-best bid.
-  fault::ScopedFaultPlan scoped(
-      fault::FaultPlan::parse("hypervisor.resume:target=seedM").value());
-  auto ad = shop_->create(workload::workspace_request(64, 0, "d"));
-  ASSERT_TRUE(ad.ok()) << ad.error().to_string();
-  EXPECT_EQ(ad.value().get_string(core::attrs::kPlant).value(), "standbyN");
-  EXPECT_GE(shop_->failovers(), 1u);
 }
 
 // -- Sharded SimulatedDeployment ----------------------------------------------------
