@@ -7,6 +7,7 @@
 #include "obs/export.h"
 #include "util/logging.h"
 #include "util/stats.h"
+#include "util/strings.h"
 
 namespace vmp::core {
 
@@ -32,32 +33,9 @@ struct FleetMetrics {
   }
 };
 
-std::string json_escape(const std::string& in) {
-  std::string out;
-  out.reserve(in.size() + 2);
-  for (char c : in) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 /// {"id": "...", "attrs": {...}} on one line (the fleet_report.py format).
 std::string ad_to_json_line(const std::string& id, const classad::ClassAd& ad) {
-  std::string out = "{\"id\": \"" + json_escape(id) + "\", \"attrs\": {";
+  std::string out = "{\"id\": \"" + util::json_escape(id) + "\", \"attrs\": {";
   bool first = true;
   for (const std::string& name : ad.names()) {
     const classad::Value v = ad.evaluate(name);
@@ -76,14 +54,14 @@ std::string ad_to_json_line(const std::string& id, const classad::ClassAd& ad) {
         break;
       }
       case classad::ValueType::kString:
-        rendered = "\"" + json_escape(v.as_string()) + "\"";
+        rendered = "\"" + util::json_escape(v.as_string()) + "\"";
         break;
       default:
         rendered = "null";
     }
     if (!first) out += ", ";
     first = false;
-    out += "\"" + json_escape(name) + "\": " + rendered;
+    out += "\"" + util::json_escape(name) + "\": " + rendered;
   }
   out += "}}";
   return out;

@@ -1,15 +1,17 @@
 #include "obs/critical_path.h"
 
 #include <algorithm>
+#include <cstdio>
 #include <unordered_map>
 #include <unordered_set>
+
+#include "util/strings.h"
 
 namespace vmp::obs {
 
 namespace {
 
-/// Longest span in a non-empty list; the FIRST longest wins a tie, exactly
-/// like Python's max() in trace_summarize.py.
+/// Longest span in a non-empty list; the FIRST longest wins a tie.
 const Span* longest(const std::vector<const Span*>& list) {
   return *std::max_element(
       list.begin(), list.end(), [](const Span* a, const Span* b) {
@@ -47,7 +49,11 @@ CriticalPath critical_path(const std::vector<Span>& trace_spans) {
   if (roots == children.end() || roots->second.empty()) return out;
   const Span* node = longest(roots->second);
   out.total_s = attributed_duration(*node);
-  while (node != nullptr) {
+  // Span ids are unique in a trace the tracer recorded, but a dump read
+  // from disk may repeat one (or use id 0), which would walk a cycle
+  // forever: the path ends at the first id already on it.
+  std::unordered_set<std::uint64_t> on_path;
+  while (node != nullptr && on_path.insert(node->span_id).second) {
     double child_sum = 0.0;
     const Span* next = nullptr;
     const auto kids = children.find(node->span_id);
@@ -60,6 +66,19 @@ CriticalPath critical_path(const std::vector<Span>& trace_spans) {
     node = next;
   }
   return out;
+}
+
+std::string critical_path_json(const CriticalPath& path) {
+  std::string out = "[";
+  for (const CriticalPathEntry& entry : path.entries) {
+    char numbers[96];
+    std::snprintf(numbers, sizeof(numbers),
+                  "\", \"dur\": %.9g, \"self\": %.9g}",
+                  attributed_duration(entry.span), entry.self_s);
+    if (out.size() > 1) out += ", ";
+    out += "{\"name\": \"" + util::json_escape(entry.span.name) + numbers;
+  }
+  return out + "]";
 }
 
 std::map<std::string, double> self_times(const CriticalPath& path) {

@@ -1,19 +1,18 @@
 // In-engine critical-path attribution for retained span trees.
 //
-// tools/trace_summarize.py --critical-path walks a trace from its root down
-// the longest child at every level and prints per-span SELF time — the time
-// a span spent in its own code rather than anything it delegated to.  That
-// is exactly the attribution the tail sampler (obs/tail.h, DESIGN.md §14)
-// needs at retention time: WHICH stage (queue wait, admission, bid, clone,
-// configure, publish-stall) made this create land in the tail.  This header
-// promotes the tool's algorithm into the engine so retained exemplars carry
-// their critical path and per-stage self times feed the MetricsRegistry
+// The critical path walks a trace from its root down the longest child at
+// every level and reports per-span SELF time: the time a span spent in its
+// own code rather than anything it delegated to.  The tail sampler
+// (obs/tail.h, DESIGN.md §14) runs it at retention time to name WHICH stage
+// (queue wait, admission, bid, clone, configure, publish-stall) made a
+// create land in the tail: retained exemplars carry their critical path,
+// and per-stage self times feed the MetricsRegistry
 // (tail.self.<stage>.seconds) and, via the fleet aggregator, the
-// obs://fleet/metrics rollup.
+// obs://fleet/metrics rollup.  `vmp_inspect critical-path` runs the same
+// code over a Tracer::write_jsonl dump.
 //
-// Semantics match the Python tool line for line (a golden fixture is
-// asserted equal from both sides in tests/tail_test.cpp and
-// tools/test_trace_summarize.py):
+// Semantics (pinned on tests/traces/tail_golden.jsonl in
+// tests/tail_test.cpp):
 //
 //   * children are indexed by parent span id, in completion order;
 //   * a span whose parent never finished (open or crashed trace) is
@@ -25,6 +24,8 @@
 //     the naive subtraction negative;
 //   * durations clamp at zero, so a span with a missing/degenerate end
 //     timestamp degrades to zero duration instead of poisoning the sums.
+//   * the walk stops at a span id already on the path, so a dump with a
+//     repeated span id cannot loop.
 #pragma once
 
 #include <map>
@@ -61,6 +62,10 @@ double attributed_duration(const Span& span);
 /// partial traces: orphaned parents become roots, zero spans yield an empty
 /// path.
 CriticalPath critical_path(const std::vector<Span>& trace_spans);
+
+/// The path as a JSON array, root first: [{"name": "...", "dur": D,
+/// "self": S}, ...] with %.9g numbers (the exemplar header's format).
+std::string critical_path_json(const CriticalPath& path);
 
 /// Sum self time per span name along the path ("stage" granularity).
 std::map<std::string, double> self_times(const CriticalPath& path);

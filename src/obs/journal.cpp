@@ -10,6 +10,7 @@
 #include "obs/trace.h"
 #include "util/bytebuffer.h"
 #include "util/logging.h"
+#include "util/strings.h"
 
 namespace vmp::obs {
 
@@ -41,50 +42,6 @@ constexpr char kSegmentSuffix[] = ".vmj";
 /// prefix means the tail bytes are garbage.
 constexpr std::uint32_t kMaxRecordBytes = 64u << 10;
 
-void put_u16(std::string* out, std::uint16_t v) {
-  out->push_back(static_cast<char>(v & 0xff));
-  out->push_back(static_cast<char>((v >> 8) & 0xff));
-}
-
-void put_u32(std::string* out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
-}
-
-void put_u64(std::string* out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
-}
-
-void put_f64(std::string* out, double v) {
-  put_u64(out, std::bit_cast<std::uint64_t>(v));
-}
-
-std::uint16_t get_u16(const char* p) {
-  return static_cast<std::uint16_t>(static_cast<unsigned char>(p[0]) |
-                                    (static_cast<unsigned char>(p[1]) << 8));
-}
-
-std::uint32_t get_u32(const char* p) {
-  std::uint32_t v = 0;
-  for (int i = 3; i >= 0; --i) {
-    v = (v << 8) | static_cast<unsigned char>(p[i]);
-  }
-  return v;
-}
-
-std::uint64_t get_u64(const char* p) {
-  std::uint64_t v = 0;
-  for (int i = 7; i >= 0; --i) {
-    v = (v << 8) | static_cast<unsigned char>(p[i]);
-  }
-  return v;
-}
-
-double get_f64(const char* p) { return std::bit_cast<double>(get_u64(p)); }
-
 std::string segment_name(std::size_t index) {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%s%06zu%s", kSegmentPrefix, index,
@@ -108,28 +65,6 @@ std::vector<std::filesystem::path> list_segments(
     }
   }
   std::sort(out.begin(), out.end());
-  return out;
-}
-
-std::string json_escape(std::string_view in) {
-  std::string out;
-  out.reserve(in.size());
-  for (char c : in) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
   return out;
 }
 
@@ -178,70 +113,69 @@ std::string JournalRecord::to_json() const {
                   static_cast<long long>(bytes_delta), aux, value);
     head.resize(static_cast<std::size_t>(n));
   }
-  std::string out = head + json_escape(image_id) + "\"";
+  std::string out = head + util::json_escape(image_id) + "\"";
   if (!trace_id.empty()) {
-    out += ", \"trace\": \"" + json_escape(trace_id) + "\"";
+    out += ", \"trace\": \"" + util::json_escape(trace_id) + "\"";
   }
   return out + "}";
 }
 
 void Journal::encode(const JournalRecord& record, std::string* out) {
-  std::string payload;
-  payload.reserve(51 + record.image_id.size());
-  payload.push_back(static_cast<char>(record.kind));
-  put_u64(&payload, record.seq);
-  put_f64(&payload, record.time_s);
-  put_f64(&payload, record.wall_s);
-  put_u64(&payload, std::bit_cast<std::uint64_t>(record.bytes_delta));
-  put_u64(&payload, record.aux);
-  put_f64(&payload, record.value);
   const std::uint16_t id_len = static_cast<std::uint16_t>(
       std::min<std::size_t>(record.image_id.size(), 0xffff));
-  put_u16(&payload, id_len);
-  payload.append(record.image_id.data(), id_len);
+  const std::uint16_t trace_len = static_cast<std::uint16_t>(
+      std::min<std::size_t>(record.trace_id.size(), 0xffff));
   // The trace block is written only when there is a trace: a payload that
   // ends at the id is byte-identical to the pre-trace format, so journals
   // written by either side of this change replay on the other.
-  if (!record.trace_id.empty()) {
-    const std::uint16_t trace_len = static_cast<std::uint16_t>(
-        std::min<std::size_t>(record.trace_id.size(), 0xffff));
-    put_u16(&payload, trace_len);
-    payload.append(record.trace_id.data(), trace_len);
+  const std::uint32_t len = 51u + id_len + (trace_len ? 2u + trace_len : 0u);
+  util::ByteBuffer buf;
+  buf.reserve(8u + len);
+  buf.put_u32(len);
+  buf.put_u8(static_cast<std::uint8_t>(record.kind));
+  buf.put_u64(record.seq);
+  buf.put_f64(record.time_s);
+  buf.put_f64(record.wall_s);
+  buf.put_u64(std::bit_cast<std::uint64_t>(record.bytes_delta));
+  buf.put_u64(record.aux);
+  buf.put_f64(record.value);
+  buf.put_u16(id_len);
+  buf.append_raw({record.image_id.data(), id_len});
+  if (trace_len != 0) {
+    buf.put_u16(trace_len);
+    buf.append_raw({record.trace_id.data(), trace_len});
   }
-
-  put_u32(out, static_cast<std::uint32_t>(payload.size()));
-  out->append(payload);
-  put_u32(out, util::fnv1a32(payload));
+  buf.put_u32(util::fnv1a32(std::string_view(buf.bytes()).substr(4)));
+  out->append(buf.bytes());
 }
 
 std::size_t Journal::decode(const char* data, std::size_t size,
                             JournalRecord* record) {
-  if (size < 4) return 0;
-  const std::uint32_t len = get_u32(data);
+  util::ByteReader frame({data, size});
+  const std::uint32_t len = frame.u32();
   // header(4) + payload + checksum(4); the fixed payload head is 51 bytes.
-  if (len < 51 || len > kMaxRecordBytes || size < 8u + len) return 0;
-  const char* payload = data + 4;
-  if (get_u32(payload + len) != util::fnv1a32({payload, len})) return 0;
-  const std::uint16_t id_len = get_u16(payload + 49);
+  if (!frame.ok() || len < 51 || len > kMaxRecordBytes || size < 8u + len) {
+    return 0;
+  }
+  const std::string_view payload = frame.view(len);
+  if (frame.u32() != util::fnv1a32(payload)) return 0;
+  util::ByteReader in(payload);
+  record->kind = static_cast<JournalEvent>(in.u8());
+  record->seq = in.u64();
+  record->time_s = in.f64();
+  record->wall_s = in.f64();
+  record->bytes_delta = std::bit_cast<std::int64_t>(in.u64());
+  record->aux = in.u64();
+  record->value = in.f64();
+  record->image_id.assign(in.view(in.u16()));
   // Either the payload ends at the id (pre-trace format, trace_id empty) or
   // a [u16 trace_len | trace] block follows and must account for every
   // remaining byte — anything else is corruption.
   record->trace_id.clear();
-  if (51u + id_len != len) {
-    if (len < 53u + id_len) return 0;
-    const std::uint16_t trace_len = get_u16(payload + 51 + id_len);
-    if (53u + id_len + trace_len != len) return 0;
-    record->trace_id.assign(payload + 53 + id_len, trace_len);
+  if (in.ok() && in.remaining() != 0) {
+    record->trace_id.assign(in.view(in.u16()));
   }
-  record->kind = static_cast<JournalEvent>(payload[0]);
-  record->seq = get_u64(payload + 1);
-  record->time_s = get_f64(payload + 9);
-  record->wall_s = get_f64(payload + 17);
-  record->bytes_delta = std::bit_cast<std::int64_t>(get_u64(payload + 25));
-  record->aux = get_u64(payload + 33);
-  record->value = get_f64(payload + 41);
-  record->image_id.assign(payload + 51, id_len);
-  return 8u + len;
+  return in.done() ? 8u + len : 0;
 }
 
 Journal::Journal(std::size_t ring_capacity)
@@ -505,6 +439,7 @@ Result<JournalReplay> Journal::replay(const std::filesystem::path& dir) {
     std::fclose(f);
 
     std::size_t offset = 0;
+    std::size_t kept = 0;
     while (offset < bytes.size()) {
       JournalRecord record;
       const std::size_t consumed =
@@ -515,10 +450,12 @@ Result<JournalReplay> Journal::replay(const std::filesystem::path& dir) {
         // are clean resync points — and open_durable() leaves a torn
         // segment in place and writes post-crash history into FRESH
         // segments, so later segments must still be read.
-        out.torn_tail = true;
+        out.tears.push_back({path.filename().string(), offset,
+                             bytes.size() - offset, kept});
         break;
       }
       offset += consumed;
+      ++kept;
       out.last_seq = std::max(out.last_seq, record.seq);
       out.records.push_back(std::move(record));
     }

@@ -5,6 +5,7 @@
 
 #include "obs/metrics.h"
 #include "util/logging.h"
+#include "util/strings.h"
 
 namespace vmp::obs {
 
@@ -26,29 +27,6 @@ struct TailMetrics {
   }
 };
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 std::string fmt_double(double v) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.9g", v);
@@ -64,22 +42,14 @@ double retention_priority(const TailExemplar& e) {
 }  // namespace
 
 std::string TailExemplar::to_jsonl() const {
-  std::string out = "{\"exemplar\": \"" + json_escape(trace_id) +
-                    "\", \"op\": \"" + json_escape(op) +
-                    "\", \"status\": \"" + json_escape(status) +
-                    "\", \"cause\": \"" + json_escape(cause) +
+  std::string out = "{\"exemplar\": \"" + util::json_escape(trace_id) +
+                    "\", \"op\": \"" + util::json_escape(op) +
+                    "\", \"status\": \"" + util::json_escape(status) +
+                    "\", \"cause\": \"" + util::json_escape(cause) +
                     "\", \"duration\": " + fmt_double(duration_s) +
                     ", \"threshold\": " + fmt_double(threshold_s) +
-                    ", \"critical_path\": [";
-  bool first = true;
-  for (const CriticalPathEntry& entry : path.entries) {
-    if (!first) out += ", ";
-    first = false;
-    out += "{\"name\": \"" + json_escape(entry.span.name) +
-           "\", \"dur\": " + fmt_double(attributed_duration(entry.span)) +
-           ", \"self\": " + fmt_double(entry.self_s) + "}";
-  }
-  out += "]}\n";
+                    ", \"critical_path\": " + critical_path_json(path) +
+                    "}\n";
   for (const Span& span : spans) {
     out += span.to_json();
     out += '\n';

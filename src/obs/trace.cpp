@@ -1,10 +1,14 @@
 #include "obs/trace.h"
 
+#include <cctype>
+#include <charconv>
 #include <chrono>
 #include <fstream>
 #include <sstream>
+#include <utility>
 
 #include "util/logging.h"
+#include "util/strings.h"
 
 namespace vmp::obs {
 
@@ -28,41 +32,161 @@ double wall_seconds() {
 thread_local std::vector<TraceContext> tl_context_stack;
 thread_local std::vector<Span> tl_open_spans;
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
+/// One value of a flat JSON object: the decoded text of a string, or the
+/// literal text of anything else (a number).
+struct JsonValue {
+  std::string text;
+  bool is_string = false;
+};
+
+/// Decode the string literal starting at text[*pos] == '"', leaving *pos
+/// past its closing quote.  Accepts the escapes util::json_escape writes:
+/// \" \\ \n \r \t, and \u00XX below 0x80.
+bool read_json_string(std::string_view text, std::size_t* pos,
+                      std::string* out) {
+  for (++*pos; *pos < text.size();) {
+    char c = text[(*pos)++];
+    if (c == '"') return true;
+    if (c != '\\') {
+      out->push_back(c);
+      continue;
+    }
+    if (*pos >= text.size()) return false;
+    switch (c = text[(*pos)++]) {
+      case '"': case '\\': out->push_back(c); break;
+      case 'n': out->push_back('\n'); break;
+      case 'r': out->push_back('\r'); break;
+      case 't': out->push_back('\t'); break;
+      case 'u': {
+        unsigned code = 0;
+        if (text.size() - *pos < 4) return false;
+        const char* first = text.data() + *pos;
+        const auto [end, ec] = std::from_chars(first, first + 4, code, 16);
+        if (ec != std::errc{} || end != first + 4 || code >= 0x80) {
+          return false;
         }
+        out->push_back(static_cast<char>(code));
+        *pos += 4;
+        break;
+      }
+      default: return false;
     }
   }
-  return out;
+  return false;
+}
+
+/// Parse a one-line JSON object whose values are strings or scalars (the
+/// shape to_json writes).  Nested objects and arrays are rejected.
+bool parse_flat_object(std::string_view text,
+                       std::map<std::string, JsonValue>* out) {
+  std::size_t pos = 0;
+  const auto skip_space = [&] {
+    while (pos < text.size() &&
+           std::isspace(static_cast<unsigned char>(text[pos]))) {
+      ++pos;
+    }
+  };
+  // Skip whitespace, then consume `c` if it comes next.
+  const auto take = [&](char c) {
+    skip_space();
+    if (pos >= text.size() || text[pos] != c) return false;
+    ++pos;
+    return true;
+  };
+  if (!take('{')) return false;
+  do {
+    std::string key;
+    JsonValue value;
+    skip_space();
+    if (pos >= text.size() || text[pos] != '"' ||
+        !read_json_string(text, &pos, &key) || !take(':')) {
+      return false;
+    }
+    skip_space();
+    if (pos < text.size() && text[pos] == '"') {
+      if (!read_json_string(text, &pos, &value.text)) return false;
+      value.is_string = true;
+    } else {
+      const std::size_t begin = pos;
+      while (pos < text.size() && text[pos] != ',' && text[pos] != '}' &&
+             !std::isspace(static_cast<unsigned char>(text[pos]))) {
+        ++pos;
+      }
+      value.text = text.substr(begin, pos - begin);
+      if (value.text.empty() || value.text[0] == '{' || value.text[0] == '[') {
+        return false;
+      }
+    }
+    (*out)[std::move(key)] = std::move(value);
+  } while (take(','));
+  if (!take('}')) return false;
+  skip_space();
+  return pos == text.size();
 }
 
 }  // namespace
 
+util::Result<Span> Span::from_json(std::string_view line) {
+  static constexpr std::pair<const char*, std::string Span::*> kText[] = {
+      {"trace", &Span::trace_id},     {"name", &Span::name},
+      {"component", &Span::component}, {"detail", &Span::detail},
+      {"vm", &Span::vm_id},           {"status", &Span::status}};
+  static constexpr std::pair<const char*, std::uint64_t Span::*> kIds[] = {
+      {"span", &Span::span_id}, {"parent", &Span::parent_id}};
+  static constexpr std::pair<const char*, double Span::*> kTimes[] = {
+      {"start", &Span::start_s}, {"end", &Span::end_s}};
+  const auto fail = [](const std::string& what) {
+    return util::Result<Span>(
+        util::Error(util::ErrorCode::kParseError, "span json: " + what));
+  };
+
+  std::map<std::string, JsonValue> fields;
+  if (!parse_flat_object(line, &fields)) return fail("not a flat object");
+  if (fields.count("trace") == 0 || fields.count("span") == 0) {
+    return fail("missing \"trace\" or \"span\"");
+  }
+  Span span;
+  for (const auto& [key, member] : kText) {
+    const auto it = fields.find(key);
+    if (it == fields.end()) continue;
+    if (!it->second.is_string) return fail(std::string(key) + " not a string");
+    span.*member = it->second.text;
+  }
+  for (const auto& [key, member] : kIds) {
+    const auto it = fields.find(key);
+    if (it == fields.end()) continue;
+    const std::string& text = it->second.text;
+    const auto [end, ec] = std::from_chars(
+        text.data(), text.data() + text.size(), span.*member);
+    if (it->second.is_string || ec != std::errc{} ||
+        end != text.data() + text.size()) {
+      return fail(std::string(key) + " not an unsigned integer");
+    }
+  }
+  for (const auto& [key, member] : kTimes) {
+    const auto it = fields.find(key);
+    if (it == fields.end()) continue;
+    if (it->second.is_string ||
+        !util::parse_double(it->second.text, &(span.*member))) {
+      return fail(std::string(key) + " not a number");
+    }
+  }
+  if (fields.count("end") == 0) span.end_s = span.start_s;
+  return span;
+}
+
 std::string Span::to_json() const {
   std::ostringstream out;
-  out << "{\"trace\":\"" << json_escape(trace_id) << "\""
+  out << "{\"trace\":\"" << util::json_escape(trace_id) << "\""
       << ",\"span\":" << span_id << ",\"parent\":" << parent_id
-      << ",\"name\":\"" << json_escape(name) << "\""
-      << ",\"component\":\"" << json_escape(component) << "\"";
-  if (!detail.empty()) out << ",\"detail\":\"" << json_escape(detail) << "\"";
-  if (!vm_id.empty()) out << ",\"vm\":\"" << json_escape(vm_id) << "\"";
+      << ",\"name\":\"" << util::json_escape(name) << "\""
+      << ",\"component\":\"" << util::json_escape(component) << "\"";
+  if (!detail.empty()) {
+    out << ",\"detail\":\"" << util::json_escape(detail) << "\"";
+  }
+  if (!vm_id.empty()) out << ",\"vm\":\"" << util::json_escape(vm_id) << "\"";
   out << ",\"start\":" << start_s << ",\"end\":" << end_s
-      << ",\"status\":\"" << json_escape(status) << "\"}";
+      << ",\"status\":\"" << util::json_escape(status) << "\"}";
   return out.str();
 }
 

@@ -27,7 +27,10 @@
 #include <map>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <vector>
+
+#include "util/error.h"
 
 namespace vmp::obs {
 
@@ -69,6 +72,12 @@ struct Span {
 
   /// One-line JSON object (the JSONL sink format).
   std::string to_json() const;
+  /// Inverse of to_json(): read one JSONL line back.  Unknown keys are
+  /// ignored.  A line without "end" is a span that never finished (a crash
+  /// or a truncated dump); it reads as open, end = start, so it attributes
+  /// zero duration.  kParseError when the line is not a flat JSON object of
+  /// strings and numbers or lacks "trace" or "span".
+  static util::Result<Span> from_json(std::string_view line);
 };
 
 class Tracer {

@@ -32,4 +32,9 @@ bool parse_double(std::string_view text, double* out);
 /// Render a double without trailing zero noise ("4", "4.5", "0.0625").
 std::string format_double(double v);
 
+/// Escape text for a JSON string literal (quotes not included): `"`, `\`,
+/// `\n`, `\r` and `\t` get their short escapes, every other control byte
+/// below 0x20 becomes `\u00XX`, and all other bytes pass through.
+std::string json_escape(std::string_view text);
+
 }  // namespace vmp::util

@@ -199,7 +199,7 @@ TEST_F(JournalTest, DurableRoundTripAndReopenContinuesSeq) {
   }
   auto replay = Journal::replay(dir_);
   ASSERT_TRUE(replay.ok());
-  EXPECT_FALSE(replay.value().torn_tail);
+  EXPECT_FALSE(replay.value().torn_tail());
   ASSERT_EQ(replay.value().records.size(), 2u);
   EXPECT_EQ(replay.value().records[0].kind, JournalEvent::kPublishCommit);
   EXPECT_EQ(replay.value().records[0].bytes_delta, 1000);
@@ -233,7 +233,7 @@ TEST_F(JournalTest, RotationSpreadsRecordsAcrossSegments) {
   auto replay = Journal::replay(dir_);
   ASSERT_TRUE(replay.ok());
   EXPECT_GT(replay.value().segments, 1u);
-  EXPECT_FALSE(replay.value().torn_tail);
+  EXPECT_FALSE(replay.value().torn_tail());
   ASSERT_EQ(replay.value().records.size(), 32u);
   for (int i = 0; i < 32; ++i) {
     EXPECT_EQ(replay.value().records[i].image_id,
@@ -256,16 +256,28 @@ TEST_F(JournalTest, TornTailIsDroppedOnReplay) {
 
   auto replay = Journal::replay(dir_);
   ASSERT_TRUE(replay.ok()) << replay.error().to_string();
-  EXPECT_TRUE(replay.value().torn_tail);
+  EXPECT_TRUE(replay.value().torn_tail());
   ASSERT_EQ(replay.value().records.size(), 1u);
   EXPECT_EQ(replay.value().records[0].image_id, "g1");
+  // The tear sits right after the first record's frame and covers the rest
+  // of the file.
+  std::string first_frame;
+  Journal::encode(replay.value().records[0], &first_frame);
+  const auto expect_one_tear = [&](const JournalReplay& r) {
+    ASSERT_EQ(r.tears.size(), 1u);
+    EXPECT_EQ(r.tears[0].segment, "seg-000001.vmj");
+    EXPECT_EQ(r.tears[0].offset, first_frame.size());
+    EXPECT_EQ(r.tears[0].bytes_dropped, full - 5 - first_frame.size());
+    EXPECT_EQ(r.tears[0].records_kept, 1u);
+  };
+  expect_one_tear(replay.value());
 
   // A re-opened sink starts a FRESH segment (never appends to the torn
   // tail) and recovers the surviving prefix.
   Journal reopened;
   ASSERT_TRUE(reopened.open_durable(dir_).ok());
   ASSERT_TRUE(reopened.recovered().has_value());
-  EXPECT_TRUE(reopened.recovered()->torn_tail);
+  EXPECT_TRUE(reopened.recovered()->torn_tail());
   EXPECT_EQ(reopened.recovered()->records.size(), 1u);
   reopened.append(JournalEvent::kLeaseAcquire, "g1");
   reopened.close_durable();
@@ -275,7 +287,8 @@ TEST_F(JournalTest, TornTailIsDroppedOnReplay) {
   // post-crash history and segment starts are clean resync points.
   auto after = Journal::replay(dir_);
   ASSERT_TRUE(after.ok());
-  EXPECT_TRUE(after.value().torn_tail);
+  EXPECT_TRUE(after.value().torn_tail());
+  expect_one_tear(after.value());
   ASSERT_EQ(after.value().records.size(), 2u);
   EXPECT_EQ(after.value().records[0].image_id, "g1");
   EXPECT_EQ(after.value().records[1].kind, JournalEvent::kLeaseAcquire);
@@ -368,7 +381,7 @@ TEST_F(JournalTest, ConcurrentAppendWhileSnapshotting) {
   ASSERT_TRUE(replay.ok());
   EXPECT_EQ(replay.value().records.size(),
             static_cast<std::size_t>(kWriters * kAppendsPerWriter));
-  EXPECT_FALSE(replay.value().torn_tail);
+  EXPECT_FALSE(replay.value().torn_tail());
 }
 
 TEST_F(JournalTest, MidRotationCrashLeavesEmptySegment) {
@@ -383,7 +396,7 @@ TEST_F(JournalTest, MidRotationCrashLeavesEmptySegment) {
 
   auto replay = Journal::replay(dir_);
   ASSERT_TRUE(replay.ok());
-  EXPECT_FALSE(replay.value().torn_tail);
+  EXPECT_FALSE(replay.value().torn_tail());
   EXPECT_EQ(replay.value().segments, 2u);
   ASSERT_EQ(replay.value().records.size(), 1u);
 
@@ -419,9 +432,18 @@ TEST_F(JournalTest, CorruptChecksumEndsReplayCleanly) {
   }
   auto replay = Journal::replay(dir_);
   ASSERT_TRUE(replay.ok());
-  EXPECT_TRUE(replay.value().torn_tail);
+  EXPECT_TRUE(replay.value().torn_tail());
   ASSERT_EQ(replay.value().records.size(), 1u);
   EXPECT_EQ(replay.value().records[0].image_id, "g1");
+  // One tear, at the second record: the first one's frame is kept whole.
+  std::string first_frame;
+  Journal::encode(replay.value().records[0], &first_frame);
+  ASSERT_EQ(replay.value().tears.size(), 1u);
+  EXPECT_EQ(replay.value().tears[0].segment, "seg-000001.vmj");
+  EXPECT_EQ(replay.value().tears[0].offset, first_frame.size());
+  EXPECT_EQ(replay.value().tears[0].bytes_dropped,
+            bytes.size() - first_frame.size());
+  EXPECT_EQ(replay.value().tears[0].records_kept, 1u);
 }
 
 TEST_F(JournalTest, SecondOpenDurableFails) {
@@ -668,7 +690,7 @@ TEST_F(JournalLifecycleTest, ReplayToleratesTornTailFromLifecycleRun) {
   open_store();
   make_manager(0);
   ASSERT_TRUE(journal_->recovered().has_value());
-  EXPECT_TRUE(journal_->recovered()->torn_tail);
+  EXPECT_TRUE(journal_->recovered()->torn_tail());
   ASSERT_TRUE(lifecycle_->warm_start().ok());
   const std::vector<ImageStats> stats = lifecycle_->stats();
   ASSERT_EQ(stats.size(), 1u);

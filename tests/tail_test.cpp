@@ -1,7 +1,7 @@
-// Tail-latency forensics tests (DESIGN.md §14): the critical-path analyzer
-// against the golden fixture shared with tools/trace_summarize.py, the
-// tail sampler's quantile/warmup/budget semantics, and the end-to-end
-// acceptance scenario — a create slowed by an injected evict-to-fit stall
+// Tail-latency forensics tests (DESIGN.md §14): the span-dump reader, the
+// critical-path analyzer against the golden fixture, the tail sampler's
+// quantile/warmup/budget semantics, and the end-to-end acceptance
+// scenario — a create slowed by an injected evict-to-fit stall
 // whose retained exemplar correlates spans, journal records, and the
 // fault firing in causal order.
 #include <gtest/gtest.h>
@@ -26,45 +26,26 @@
 namespace vmp::obs {
 namespace {
 
-// -- Golden fixture loading (ad-hoc parse of Span::to_json lines) -----------
+// -- Span dumps -------------------------------------------------------------
 
-std::string str_field(const std::string& line, const std::string& key) {
-  const std::string needle = "\"" + key + "\":\"";
-  const std::size_t at = line.find(needle);
-  if (at == std::string::npos) return "";
-  const std::size_t start = at + needle.size();
-  return line.substr(start, line.find('"', start) - start);
-}
-
-double num_field(const std::string& line, const std::string& key,
-                 double fallback) {
-  const std::string needle = "\"" + key + "\":";
-  const std::size_t at = line.find(needle);
-  if (at == std::string::npos) return fallback;
-  return std::strtod(line.c_str() + at + needle.size(), nullptr);
-}
-
-std::vector<Span> load_golden_fixture() {
-  const std::filesystem::path path =
-      std::filesystem::path(VMP_TRACE_DIR) / "tail_golden.jsonl";
+/// Spans of a Tracer::write_jsonl dump, read back through Span::from_json.
+std::vector<Span> load_jsonl(const std::filesystem::path& path) {
   std::ifstream in(path);
   EXPECT_TRUE(in.is_open()) << path;
   std::vector<Span> spans;
   std::string line;
   while (std::getline(in, line)) {
     if (line.empty()) continue;
-    Span s;
-    s.trace_id = str_field(line, "trace");
-    s.span_id = static_cast<std::uint64_t>(num_field(line, "span", 0));
-    s.parent_id = static_cast<std::uint64_t>(num_field(line, "parent", 0));
-    s.name = str_field(line, "name");
-    s.component = str_field(line, "component");
-    s.start_s = num_field(line, "start", 0.0);
-    s.end_s = num_field(line, "end", 0.0);  // missing end -> 0 (open span)
-    s.status = str_field(line, "status");
-    spans.push_back(std::move(s));
+    auto span = Span::from_json(line);
+    EXPECT_TRUE(span.ok()) << line;
+    if (span.ok()) spans.push_back(std::move(span).value());
   }
   return spans;
+}
+
+std::vector<Span> load_golden_fixture() {
+  return load_jsonl(std::filesystem::path(VMP_TRACE_DIR) /
+                    "tail_golden.jsonl");
 }
 
 Span make_root(const std::string& trace_id, const std::string& name,
@@ -80,11 +61,76 @@ Span make_root(const std::string& trace_id, const std::string& name,
   return s;
 }
 
+TEST(SpanJsonTest, WriteJsonlRoundTrips) {
+  Tracer& tracer = Tracer::instance();
+  tracer.arm();
+  double clock = 0.25;
+  tracer.set_clock([&clock] { return clock; });
+  {
+    ScopedSpan root("shop.create \"quoted\" \\back", "vmshop", "a\\b");
+    clock = 0.5;
+    {
+      ScopedSpan child("line\nbreak", "vmplant");
+      child.set_vm("vm-1");
+      child.set_status("TIMEOUT");
+      clock = 1.75;
+    }
+    clock = 2.0;
+  }
+  tracer.set_clock(nullptr);
+  const std::vector<Span> written = tracer.spans();
+  tracer.disarm();
+  ASSERT_EQ(written.size(), 2u);
+
+  const std::filesystem::path path =
+      std::filesystem::temp_directory_path() /
+      ("vmp_span_roundtrip_" + std::to_string(::getpid()) + ".jsonl");
+  ASSERT_TRUE(tracer.write_jsonl(path.string()));
+  // A crash leaves a span that never finished: no "end" in its line.
+  std::ofstream(path, std::ios::app)
+      << R"({"trace":"t","span":7,"parent":1,"name":"open.op","start":0.8})"
+      << "\n";
+  const std::vector<Span> read = load_jsonl(path);
+  std::filesystem::remove(path);
+  ASSERT_EQ(read.size(), written.size() + 1);
+  for (std::size_t i = 0; i < written.size(); ++i) {
+    EXPECT_EQ(read[i].to_json(), written[i].to_json());
+    EXPECT_DOUBLE_EQ(read[i].start_s, written[i].start_s);
+    EXPECT_DOUBLE_EQ(read[i].end_s, written[i].end_s);
+  }
+  EXPECT_EQ(read[0].name, "line\nbreak");
+  EXPECT_EQ(read[0].vm_id, "vm-1");
+  EXPECT_EQ(read[0].status, "TIMEOUT");
+  EXPECT_EQ(read[1].name, "shop.create \"quoted\" \\back");
+  EXPECT_EQ(read[1].detail, "a\\b");
+  EXPECT_EQ(read[0].parent_id, read[1].span_id);
+
+  // The open span reads with end = start: zero duration.
+  EXPECT_EQ(read[2].name, "open.op");
+  EXPECT_DOUBLE_EQ(read[2].end_s, 0.8);
+  EXPECT_DOUBLE_EQ(read[2].duration_s(), 0.0);
+  EXPECT_EQ(read[2].status, "ok");
+
+  for (const char* bad :
+       {"", "{", R"({"span":1})", R"({"trace":"t","span":"1"})",
+        R"({"trace":"t","span":1,"start":"x"})",
+        R"({"trace":"t","span":1,"tags":[1]})",
+        R"({"trace":"t","span":1} trailing)"}) {
+    EXPECT_FALSE(Span::from_json(bad).ok()) << bad;
+  }
+}
+
+/// Span `id` under `parent` (0 = root) of trace "t".
+Span make_span(std::uint64_t id, std::uint64_t parent, const std::string& name,
+               double start, double end) {
+  Span s = make_root("t", name, start, end);
+  s.span_id = id;
+  s.parent_id = parent;
+  return s;
+}
+
 // -- Critical path ----------------------------------------------------------
 
-// The expected self-times are hard-coded HERE and in
-// tools/test_trace_summarize.py: both sides agreeing with the same numbers
-// proves the C++ analyzer and the Python --critical-path walk match.
 TEST(CriticalPathTest, GoldenFixtureSelfTimes) {
   const std::vector<Span> spans = load_golden_fixture();
   ASSERT_EQ(spans.size(), 7u);
@@ -107,14 +153,60 @@ TEST(CriticalPathTest, GoldenFixtureSelfTimes) {
 
 TEST(CriticalPathTest, EmptyAndRootlessTraces) {
   EXPECT_TRUE(critical_path({}).empty());
-  // A lone span whose parent is missing is an orphan: re-parented to the
-  // virtual root, it becomes the whole path.
-  Span s = make_root("t", "orphan", 1.0, 3.0);
-  s.parent_id = 42;
-  const CriticalPath path = critical_path({s});
+  // Spans whose parents form a cycle have no root at all.
+  EXPECT_TRUE(critical_path({make_span(1, 2, "a", 0.0, 1.0),
+                             make_span(2, 1, "b", 0.0, 1.0)})
+                  .empty());
+  // A span whose parent is missing is an orphan: re-parented to the
+  // virtual root, it competes with the real root instead of vanishing (the
+  // longer one wins), and alone it is the whole path.
+  const Span root = make_span(1, 0, "root", 0.0, 1.0);
+  EXPECT_EQ(critical_path({root, make_span(6, 42, "orphan", 0.0, 0.3)})
+                .entries.at(0).span.name,
+            "root");
+  EXPECT_EQ(critical_path({root, make_span(6, 42, "orphan", 0.0, 2.0)})
+                .entries.at(0).span.name,
+            "orphan");
+  const CriticalPath path =
+      critical_path({make_span(6, 42, "orphan", 1.0, 3.0)});
   ASSERT_EQ(path.entries.size(), 1u);
   EXPECT_EQ(path.entries[0].span.name, "orphan");
   EXPECT_DOUBLE_EQ(path.entries[0].self_s, 2.0);
+}
+
+TEST(CriticalPathTest, OpenChildOnThePathAttributesZero) {
+  // Crashed mid-span: the dump has no end for the child, so it reads open.
+  auto open = Span::from_json(
+      R"({"trace":"t","span":2,"parent":1,"name":"open-child","start":0.1})");
+  ASSERT_TRUE(open.ok());
+  const CriticalPath path =
+      critical_path({make_span(1, 0, "root", 0.0, 1.0), open.value()});
+  ASSERT_EQ(path.entries.size(), 2u);
+  EXPECT_DOUBLE_EQ(path.entries[0].self_s, 1.0);
+  EXPECT_EQ(path.entries[1].span.name, "open-child");
+  EXPECT_DOUBLE_EQ(path.entries[1].self_s, 0.0);
+}
+
+TEST(CriticalPathTest, OverlappingChildrenClampSelfTimeToZero) {
+  // The children overlap, so their durations sum to 1.4 s under a 1 s root.
+  const CriticalPath path = critical_path(
+      {make_span(1, 0, "root", 0.0, 1.0), make_span(2, 1, "a", 0.0, 0.8),
+       make_span(3, 1, "b", 0.3, 0.9)});
+  ASSERT_EQ(path.entries.size(), 2u);
+  EXPECT_DOUBLE_EQ(path.entries[0].self_s, 0.0);  // clamped, not -0.4
+  EXPECT_EQ(path.entries[1].span.name, "a");
+}
+
+TEST(CriticalPathTest, RepeatedSpanIdEndsThePath) {
+  // A damaged dump reuses id 1 below the root: without a guard the walk
+  // would cycle 1 -> 2 -> 1 forever.  Id 0 would make the root its own child.
+  CriticalPath path = critical_path(
+      {make_span(1, 0, "root", 0.0, 1.0), make_span(2, 1, "a", 0.0, 0.5),
+       make_span(1, 2, "dup", 0.0, 0.2)});
+  ASSERT_EQ(path.entries.size(), 2u);
+  EXPECT_EQ(path.entries[1].span.name, "a");
+  path = critical_path({make_span(0, 0, "zero", 0.0, 1.0)});
+  ASSERT_EQ(path.entries.size(), 1u);
 }
 
 TEST(CriticalPathTest, NegativeDurationsClampToZero) {

@@ -312,6 +312,14 @@ TEST(StringsTest, FormatDoubleRoundTrips) {
   }
 }
 
+TEST(StringsTest, JsonEscape) {
+  EXPECT_EQ(json_escape("plain text/ok"), "plain text/ok");
+  EXPECT_EQ(json_escape("a\"b\\c"), "a\\\"b\\\\c");
+  EXPECT_EQ(json_escape("\n\r\t"), "\\n\\r\\t");
+  EXPECT_EQ(json_escape(std::string("\x01x\x1f", 3)), "\\u0001x\\u001f");
+  EXPECT_EQ(json_escape(std::string("\0", 1)), "\\u0000");
+}
+
 // -- Ids ------------------------------------------------------------------------
 
 TEST(IdsTest, SequentialAndPrefixed) {

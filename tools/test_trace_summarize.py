@@ -1,13 +1,10 @@
 #!/usr/bin/env python3
-"""Tests for trace_summarize.py's critical-path attribution.
+"""Tests for trace_summarize.py's phase-table duration rule.
 
 Run directly (``python3 tools/test_trace_summarize.py``) or through ctest
-(registered in tools/CMakeLists.txt with label ``obs-tail``).
-
-The golden-fixture case asserts the SAME self-times that
-tests/tail_test.cpp::CriticalPathTest.GoldenFixtureSelfTimes hard-codes
-against the C++ analyzer, so the two implementations are proven equal by
-transitivity on tests/traces/tail_golden.jsonl.
+(registered in tools/CMakeLists.txt with label ``obs-tail``).  The
+critical-path walk is C++ (obs::critical_path, tested in
+tests/tail_test.cpp; ``vmp_inspect critical-path`` runs it on a dump).
 """
 
 import os
@@ -19,86 +16,12 @@ sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 import trace_summarize as ts  # noqa: E402
 
 
-def fixture_path():
-    trace_dir = os.environ.get(
-        "VMP_TRACE_DIR",
-        os.path.join(os.path.dirname(os.path.abspath(__file__)),
-                     os.pardir, "tests", "traces"))
-    return os.path.join(trace_dir, "tail_golden.jsonl")
-
-
-def span(span_id, parent, name, start, end=None, **extra):
-    s = {"trace": "t", "span": span_id, "parent": parent, "name": name,
-         "component": "test", "start": start}
-    if end is not None:
-        s["end"] = end
-    s.update(extra)
-    return s
-
-
-class GoldenFixtureTest(unittest.TestCase):
-    def test_self_times_match_cpp_analyzer(self):
-        spans = ts.load_spans(fixture_path())
-        path = ts.critical_path(spans)
-        got = [(s.get("name"), round(self_t, 6)) for s, self_t in path]
-        # Keep these literals in sync with tail_test.cpp's
-        # GoldenFixtureSelfTimes — they are the shared golden answer.
-        self.assertEqual(got, [
-            ("shop.create", 0.1),
-            ("plant.create", 0.1),
-            ("lifecycle.publish", 0.2),
-            ("lifecycle.evict_to_fit", 0.4),
-        ])
-        self.assertAlmostEqual(ts.duration_of(path[0][0]), 1.0)
-
-
-class DegradedTraceTest(unittest.TestCase):
+class DurationTest(unittest.TestCase):
     def test_missing_end_attributes_zero(self):
         self.assertEqual(ts.duration_of({"start": 0.5}), 0.0)
 
     def test_end_before_start_clamps_to_zero(self):
         self.assertEqual(ts.duration_of({"start": 2.0, "end": 1.0}), 0.0)
-
-    def test_open_span_on_path_does_not_crash(self):
-        spans = [
-            span(1, 0, "root", 0.0, 1.0),
-            span(2, 1, "open-child", 0.1),  # crashed mid-span: no end
-        ]
-        path = ts.critical_path(spans)
-        # The open child attributes zero, so the root keeps its full second.
-        self.assertEqual([(s["name"], t) for s, t in path],
-                         [("root", 1.0), ("open-child", 0.0)])
-
-    def test_orphaned_parent_reparents_to_virtual_root(self):
-        spans = [
-            span(1, 0, "root", 0.0, 1.0),
-            span(6, 99, "orphan", 0.0, 0.3),  # parent 99 never closed
-        ]
-        path = ts.critical_path(spans)
-        # The orphan competes as a root instead of vanishing; the real root
-        # is longer and wins.
-        self.assertEqual(path[0][0]["name"], "root")
-        # With the real root gone the orphan IS the trace.
-        path = ts.critical_path(spans[1:])
-        self.assertEqual([(s["name"], round(t, 6)) for s, t in path],
-                         [("orphan", 0.3)])
-
-    def test_empty_and_rootless_traces_yield_empty_path(self):
-        self.assertEqual(ts.critical_path([]), [])
-        # Spans forming a cycle with no root still terminate.
-        self.assertEqual(
-            ts.critical_path([span(1, 2, "a", 0, 1), span(2, 1, "b", 0, 1)]),
-            [])
-
-    def test_self_time_clamps_when_children_overlap(self):
-        spans = [
-            span(1, 0, "root", 0.0, 1.0),
-            span(2, 1, "a", 0.0, 0.8),
-            span(3, 1, "b", 0.3, 0.9),  # overlaps a: sum of kids > parent
-        ]
-        path = ts.critical_path(spans)
-        self.assertEqual(path[0][0]["name"], "root")
-        self.assertEqual(path[0][1], 0.0)  # clamped, not negative
 
 
 if __name__ == "__main__":

@@ -7,13 +7,12 @@ per-phase breakdown of VM creation in the spirit of the paper's Figure 6
 (time spent in cloning vs configuration vs the rest of the sequence).
 
 Usage:
-    python3 tools/trace_summarize.py trace.jsonl [--by-trace] [--critical-path]
+    python3 tools/trace_summarize.py trace.jsonl [--by-trace]
 
 With --by-trace, also prints one row per trace (total duration, span
-count, errors, retries).  With --critical-path, walks each trace from its
-root down the longest child at every level and prints that chain with
-per-span self time — the spans to optimize first if the end-to-end
-latency should come down.
+count, errors, retries).  For each trace's critical path (the longest
+root-to-leaf chain with per-span self time), run
+`build/tools/vmp_inspect critical-path trace.jsonl`.
 """
 
 import argparse
@@ -94,8 +93,7 @@ def duration_of(span):
 
     Degrades instead of throwing on damaged dumps: a span missing its end
     timestamp (crashed mid-span, truncated file) attributes zero duration,
-    and a clock skew that puts end before start clamps to zero — matching
-    obs::attributed_duration in src/obs/critical_path.cpp.
+    and a clock skew that puts end before start clamps to zero.
     """
     start = float(span.get("start", 0.0))
     end = span.get("end")
@@ -104,73 +102,11 @@ def duration_of(span):
     return max(0.0, float(end) - start)
 
 
-def critical_path(spans):
-    """The chain root -> longest child -> ... for one trace's spans.
-
-    Returns a list of (span, self_time) where self_time is the span's
-    duration minus the sum of its direct children's durations (time spent
-    in the span's own code rather than anything it delegated to), clamped
-    at zero — children re-parented across a bus hop can overlap a sibling
-    and push the naive subtraction negative.
-
-    A span whose parent never finished (orphan: open span, crash, or a
-    truncated dump) is re-parented to the virtual root so partial traces
-    still attribute instead of vanishing — the same semantics as
-    obs::critical_path in src/obs/critical_path.cpp.
-    """
-    ids = {s.get("span") for s in spans if s.get("span") is not None}
-    children = defaultdict(list)
-    for span in spans:
-        parent = span.get("parent", 0)
-        if parent != 0 and parent not in ids:
-            parent = 0
-        children[parent].append(span)
-    roots = children.get(0, [])
-    if not roots:
-        return []
-    path = []
-    node = max(roots, key=duration_of)
-    while node is not None:
-        kids = children.get(node.get("span", -1), [])
-        self_time = max(
-            0.0, duration_of(node) - sum(duration_of(k) for k in kids))
-        path.append((node, self_time))
-        node = max(kids, key=duration_of) if kids else None
-    return path
-
-
-def print_critical_paths(spans):
-    traces = defaultdict(list)
-    for span in spans:
-        traces[span.get("trace", "?")].append(span)
-    for trace_id, members in traces.items():
-        path = critical_path(members)
-        if not path:
-            continue
-        total = duration_of(path[0][0])
-        print(f"trace {trace_id} critical path "
-              f"({total * 1e3:.3f} ms end-to-end):")
-        header = (f"  {'span':<28} {'component':<16} {'dur ms':>10} "
-                  f"{'self ms':>10} {'% total':>8}")
-        print(header)
-        print("  " + "-" * (len(header) - 2))
-        for depth, (span, self_time) in enumerate(path):
-            name = " " * depth + span.get("name", "?")
-            share = duration_of(span) / total * 100.0 if total else 0.0
-            print(f"  {name:<28} {span.get('component', '?'):<16} "
-                  f"{duration_of(span) * 1e3:>10.3f} "
-                  f"{self_time * 1e3:>10.3f} {share:>7.1f}%")
-        print()
-
-
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("jsonl", help="trace file written by Tracer::write_jsonl")
     parser.add_argument("--by-trace", action="store_true",
                         help="also print one row per trace")
-    parser.add_argument("--critical-path", action="store_true",
-                        help="print each trace's longest root-to-leaf chain "
-                             "with per-span self time")
     args = parser.parse_args()
 
     spans = load_spans(args.jsonl)
@@ -182,9 +118,6 @@ def main():
     if args.by_trace:
         print()
         print_trace_table(spans)
-    if args.critical_path:
-        print()
-        print_critical_paths(spans)
     return 0
 
 

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Summarize warehouse lifecycle churn: hit rates, evictions, reclaimed bytes.
 
-Accepts either (auto-detected per line, both may be mixed in one input):
+Accepts, auto-detected per line and freely mixed in one input:
 
   * BENCH_JSON lines from bench/warehouse_churn —
         BENCH_JSON {"name": "churn.gdsf", "hit_rate": 0.58, ...}
@@ -12,120 +12,28 @@ Accepts either (auto-detected per line, both may be mixed in one input):
     (lifecycle.* metric names in their classad-folded spelling) are
     rendered as a lease/eviction/reclaim summary per exporting plant;
 
-  * --journal DIR — decode the binary event-journal segments the lifecycle
-    manager writes (obs::Journal, seg-NNNNNN.vmj; DESIGN.md §13) and
-    reconstruct the publish/eviction timeline: per-image lifespan, acquire
-    count, eviction cause (evicted / zombified / reaped), bytes reclaimed.
-    Replay is torn-tail tolerant, exactly like the C++ side: a record cut
-    mid-write by a crash drops the rest of that segment, replay resumes at
-    the next segment boundary, and the tear is reported as such.
+  * event-journal records in the flight-recorder format
+    (obs::JournalRecord::to_json: {"seq": ..., "kind": ..., "t": ...}), as
+    printed by `vmp_inspect journal DIR` or dumped by vmp_explore
+    (*.flight.jsonl) — folded into the publish/eviction timeline: per-image
+    lifespan, acquire count, eviction cause (evicted / zombified / reaped),
+    bytes reclaimed.  The summary line `vmp_inspect journal` ends with
+    ({"journal": ..., "segments": ..., "tears": [...]}) adds the segment
+    count and reports every torn segment tail the C++ replay dropped.
 
 Usage:
     build/bench/warehouse_churn | python3 tools/warehouse_report.py -
     python3 tools/warehouse_report.py fleet.jsonl [--json]
-    python3 tools/warehouse_report.py --journal store/journal [--json]
+    build/tools/vmp_inspect journal store/journal \
+        | python3 tools/warehouse_report.py - [--json]
 """
 
 import argparse
 import json
-import pathlib
 import re
-import struct
 import sys
 
 BENCH_LINE = re.compile(r"^BENCH_JSON\s+(\{.*\})\s*$")
-
-# -- Event-journal decoding (mirrors src/obs/journal.{h,cpp}) -----------------
-
-JOURNAL_EVENTS = {
-    1: "publish_reserve", 2: "publish_commit", 3: "publish_reject",
-    4: "evict_begin", 5: "evict_commit", 6: "evict_rollback",
-    7: "lease_acquire", 8: "lease_release", 9: "zombify", 10: "reap",
-    11: "orphan_reap", 12: "warm_start", 13: "adopt", 14: "fault_fired",
-}
-
-# payload := u8 kind | u64 seq | f64 time_s | f64 wall_s | i64 bytes_delta |
-#            u64 aux | f64 value | u16 id_len | id
-#            [u16 trace_len | trace]     (trace block only when non-empty;
-#            records without it are the pre-trace format, byte-identical)
-JOURNAL_HEAD = struct.Struct("<BQddqQdH")
-JOURNAL_MAX_RECORD = 64 * 1024
-
-
-def fnv1a32(data):
-    acc = 2166136261
-    for byte in data:
-        acc = ((acc ^ byte) * 16777619) & 0xFFFFFFFF
-    return acc
-
-
-def decode_journal_record(buf, offset):
-    """One record at offset -> (record, next_offset); (None, _) when torn."""
-    if offset + 4 > len(buf):
-        return None, offset
-    (length,) = struct.unpack_from("<I", buf, offset)
-    if (length < JOURNAL_HEAD.size or length > JOURNAL_MAX_RECORD
-            or offset + 8 + length > len(buf)):
-        return None, offset
-    payload = buf[offset + 4:offset + 4 + length]
-    (checksum,) = struct.unpack_from("<I", buf, offset + 4 + length)
-    if fnv1a32(payload) != checksum:
-        return None, offset
-    kind, seq, time_s, wall_s, bytes_delta, aux, value, id_len = \
-        JOURNAL_HEAD.unpack_from(payload)
-    base = JOURNAL_HEAD.size
-    trace = ""
-    if base + id_len != length:
-        # Trace-stamped record: u16 trace_len | trace after the id.
-        if length < base + id_len + 2:
-            return None, offset
-        (trace_len,) = struct.unpack_from("<H", payload, base + id_len)
-        if base + id_len + 2 + trace_len != length:
-            return None, offset
-        trace = payload[base + id_len + 2:].decode("utf-8", "replace")
-    return {
-        "seq": seq,
-        "event": JOURNAL_EVENTS.get(kind, "unknown"),
-        "time_s": time_s,
-        "wall_s": wall_s,
-        "bytes_delta": bytes_delta,
-        "aux": aux,
-        "value": value,
-        "image": payload[base:base + id_len].decode("utf-8", "replace"),
-        "trace": trace,
-    }, offset + 8 + length
-
-
-def replay_journal(journal_dir):
-    """All valid records from seg-*.vmj in name order, C++ replay semantics:
-    a torn/corrupt record drops the rest of THAT segment (the crash tail)
-    and replay resumes at the next segment boundary — post-crash reopens
-    write into fresh segments that must still be read.
-
-    Returns (records, segment_count, tears); each tear names the segment,
-    the offset replay resynced at, and how many trailing bytes it dropped,
-    so an operator can tell ONE crash tail from systematic corruption.
-    Raises OSError when the directory or a segment cannot be read."""
-    records = []
-    tears = []
-    segments = sorted(pathlib.Path(journal_dir).glob("seg-*.vmj"))
-    for segment in segments:
-        buf = segment.read_bytes()
-        offset = 0
-        decoded = 0
-        while offset < len(buf):
-            record, offset = decode_journal_record(buf, offset)
-            if record is None:
-                tears.append({
-                    "segment": segment.name,
-                    "offset": offset,
-                    "bytes_dropped": len(buf) - offset,
-                    "records_kept": decoded,
-                })
-                break
-            decoded += 1
-            records.append(record)
-    return records, len(segments), tears
 
 
 def journal_timeline(records):
@@ -142,7 +50,7 @@ def journal_timeline(records):
         })
 
     for rec in records:
-        event, image = rec["event"], rec["image"]
+        event, image = rec["kind"], rec["id"]
         if event == "fault_fired":
             totals["fault_firings"] += 1
             continue
@@ -150,34 +58,34 @@ def journal_timeline(records):
             totals["warm_starts"] += 1
             continue
         if event == "orphan_reap":
-            totals["reclaimed"] += -rec["bytes_delta"]
+            totals["reclaimed"] += -rec["bytes"]
             continue
         if not image:
             continue
         entry = row(image)
         if event in ("publish_commit", "adopt"):
             entry["publishes"] += 1
-            entry["published_t"] = rec["time_s"]
+            entry["published_t"] = rec["t"]
             entry["end_t"] = None
             entry["fate"] = "resident"
-            entry["bytes"] = rec["bytes_delta"]
+            entry["bytes"] = rec["bytes"]
         elif event == "publish_reject":
             entry["rejects"] += 1
         elif event == "lease_acquire":
             entry["acquires"] += 1
         elif event == "evict_commit":
             entry["fate"] = "evicted"
-            entry["end_t"] = rec["time_s"]
-            entry["reclaimed"] += -rec["bytes_delta"]
-            totals["reclaimed"] += -rec["bytes_delta"]
+            entry["end_t"] = rec["t"]
+            entry["reclaimed"] += -rec["bytes"]
+            totals["reclaimed"] += -rec["bytes"]
         elif event == "zombify":
             entry["fate"] = "zombified"
-            entry["end_t"] = rec["time_s"]
+            entry["end_t"] = rec["t"]
         elif event == "reap":
             entry["fate"] = "reaped"
-            entry["end_t"] = rec["time_s"]
-            entry["reclaimed"] += -rec["bytes_delta"]
-            totals["reclaimed"] += -rec["bytes_delta"]
+            entry["end_t"] = rec["t"]
+            entry["reclaimed"] += -rec["bytes"]
+            totals["reclaimed"] += -rec["bytes"]
 
     for entry in images.values():
         if entry["published_t"] is not None and entry["end_t"] is not None:
@@ -185,8 +93,11 @@ def journal_timeline(records):
     return images, totals
 
 
-def print_journal(images, totals, records, segments, tears):
-    print(f"journal: {len(records)} records in {segments} segment(s)"
+def print_journal(images, totals, records, summary):
+    """`summary` is vmp_inspect's closing line, None for a flight dump."""
+    tears = summary["tears"] if summary else []
+    print(f"journal: {len(records)} records"
+          + (f" in {summary['segments']} segment(s)" if summary else "")
           + ("  [torn tail dropped]" if tears else ""))
     for tear in tears:
         print(f"warning: {tear['segment']}: torn record at offset "
@@ -212,9 +123,12 @@ def print_journal(images, totals, records, segments, tears):
 
 
 def load(stream):
-    """Split input lines into churn records and lifecycle ads."""
+    """Split input lines into churn records, lifecycle ads, journal records
+    and the journal summary line."""
     churn = {}
     ads = []
+    journal = []
+    summary = None
     for line in stream:
         line = line.strip()
         match = BENCH_LINE.match(line)
@@ -227,13 +141,16 @@ def load(stream):
         if not line.startswith("{"):
             continue
         try:
-            ad = json.loads(line)
+            obj = json.loads(line)
         except json.JSONDecodeError:
             continue
-        attrs = ad.get("attrs", {})
-        if any(key.startswith("lifecycle_") for key in attrs):
-            ads.append(ad)
-    return churn, ads
+        if "seq" in obj and "kind" in obj:
+            journal.append(obj)
+        elif "journal" in obj and "tears" in obj:
+            summary = obj
+        elif any(key.startswith("lifecycle_") for key in obj.get("attrs", {})):
+            ads.append(obj)
+    return churn, ads, journal, summary
 
 
 def churn_summary(churn):
@@ -308,60 +225,47 @@ def print_lifecycle(plants):
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("input", nargs="?",
-                        help="BENCH_JSON / metrics-JSONL file, or - for stdin")
-    parser.add_argument("--journal", metavar="DIR",
-                        help="event-journal directory (seg-*.vmj segments) "
-                             "to reconstruct the publish/eviction timeline")
+    parser.add_argument("input",
+                        help="BENCH_JSON / metrics / journal JSONL file, "
+                             "or - for stdin")
     parser.add_argument("--json", action="store_true",
                         help="emit one machine-readable summary object")
     args = parser.parse_args()
-    if args.input is None and args.journal is None:
-        parser.error("need an input file (or -) and/or --journal DIR")
-
-    if args.journal is not None:
-        if not pathlib.Path(args.journal).is_dir():
-            print(f"--journal: {args.journal} is not a directory",
-                  file=sys.stderr)
-            return 1
-        try:
-            records, segments, tears = replay_journal(args.journal)
-        except OSError as err:
-            print(f"--journal: cannot read {args.journal}: {err}",
-                  file=sys.stderr)
-            return 1
-        images, totals = journal_timeline(records)
-        if args.json:
-            print(json.dumps({"records": len(records), "segments": segments,
-                              "torn_tail": bool(tears), "tears": tears,
-                              "images": images, "totals": totals}, indent=2))
-        else:
-            print_journal(images, totals, records, segments, tears)
-        if args.input is None:
-            return 0
-        print()
 
     if args.input == "-":
-        churn, ads = load(sys.stdin)
+        churn, ads, journal, summary = load(sys.stdin)
     else:
         with open(args.input, "r", encoding="utf-8") as fh:
-            churn, ads = load(fh)
+            churn, ads, journal, summary = load(fh)
 
     policies = churn_summary(churn)
     plants = lifecycle_summary(ads)
-    if not policies and not plants:
-        print("no churn BENCH_JSON lines or lifecycle_* ads found",
-              file=sys.stderr)
+    has_journal = bool(journal) or summary is not None
+    if not policies and not plants and not has_journal:
+        print("no churn BENCH_JSON lines, lifecycle_* ads or journal records "
+              "found", file=sys.stderr)
         return 1
+    images, totals = journal_timeline(journal)
 
     if args.json:
-        print(json.dumps({"churn": policies, "lifecycle": plants}, indent=2))
+        report = {"churn": policies, "lifecycle": plants}
+        if has_journal:
+            report["journal"] = {
+                "records": len(journal),
+                "segments": summary["segments"] if summary else None,
+                "tears": summary["tears"] if summary else [],
+                "images": images, "totals": totals}
+        print(json.dumps(report, indent=2))
         return 0
 
+    if has_journal:
+        print_journal(images, totals, journal, summary)
     if policies:
+        if has_journal:
+            print()
         print_churn(policies)
     if plants:
-        if policies:
+        if has_journal or policies:
             print()
         print_lifecycle(plants)
     return 0
