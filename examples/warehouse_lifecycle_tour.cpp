@@ -18,7 +18,7 @@
 #include <filesystem>
 #include <memory>
 
-#include "hypervisor/gsx.h"
+#include "hypervisor/hypervisor.h"
 #include "lifecycle/lifecycle.h"
 #include "storage/artifact_store.h"
 #include "warehouse/warehouse.h"
@@ -101,7 +101,7 @@ int main() {
 
   // -- 2. Leases turn eviction into zombies ---------------------------------
   std::printf("\n== clone 'base', then evict it while the clone lives\n");
-  hv::GsxHypervisor gsx(&store);
+  hv::Hypervisor gsx("vmware-gsx", &store);
   gsx.set_lease_hook(lifecycle.get());
   if (!store.make_dir("clones").ok()) return 1;
   auto base = warehouse->lookup("base");

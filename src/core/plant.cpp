@@ -4,9 +4,6 @@
 #include <chrono>
 #include <thread>
 
-#include "hypervisor/gsx.h"
-#include "hypervisor/uml.h"
-#include "hypervisor/xen.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/logging.h"
@@ -22,13 +19,6 @@ using util::Status;
 namespace {
 
 const util::Logger kLog("vmplant");
-
-std::unique_ptr<hv::Hypervisor> make_hypervisor(const std::string& backend,
-                                                storage::ArtifactStore* store) {
-  if (backend == "uml") return std::make_unique<hv::UmlHypervisor>(store);
-  if (backend == "xen") return std::make_unique<hv::XenHypervisor>(store);
-  return std::make_unique<hv::GsxHypervisor>(store);
-}
 
 /// Transient failures worth a plant-local clone retry; anything else
 /// (validation errors, capacity, unknown goldens) will not improve on a
@@ -67,7 +57,7 @@ VmPlant::VmPlant(PlantConfig config, storage::ArtifactStore* store,
     : config_(std::move(config)),
       store_(store),
       warehouse_(warehouse),
-      hypervisor_(make_hypervisor(config_.backend, store)),
+      hypervisor_(std::make_unique<hv::Hypervisor>(config_.backend, store)),
       ppp_(warehouse),
       allocator_(config_.name, config_.host_only_networks),
       cost_model_(make_cost_model(config_.cost_model)),
@@ -235,7 +225,7 @@ Result<classad::ClassAd> VmPlant::create_impl(const CreateRequest& request) {
     // (store hiccups, VMM resume errors) are retried with deterministic
     // exponential backoff in sim-time; persistent errors propagate at once
     // so the shop can fail over to another plant.  Each attempt uses a
-    // fresh VM id — the hypervisor retires ids of destroyed instances.
+    // fresh VM id, so logs, spans and fault targets name one attempt.
     // No plant lock is held here: this is the creation's dominant cost and
     // the stretch where concurrent orders actually overlap.
     const double clone_start_s = obs::Tracer::instance().now();

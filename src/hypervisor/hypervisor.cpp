@@ -9,20 +9,48 @@ using util::ErrorCode;
 using util::Result;
 using util::Status;
 
+namespace {
+
+/// The only place that names backends.  A resuming backend clones
+/// suspended checkpoints and resumes them; the others clone powered-off
+/// copy-on-write file systems and boot them.
+struct Backend {
+  const char* name;
+  bool resumes_from_checkpoint;
+};
+constexpr Backend kBackends[] = {
+    {"vmware-gsx", true},
+    {"uml", false},
+    {"xen", false},
+};
+
+const Backend& backend_named(const std::string& name) {
+  for (const Backend& backend : kBackends) {
+    if (name == backend.name) return backend;
+  }
+  return kBackends[0];
+}
+
+}  // namespace
+
+Hypervisor::Hypervisor(const std::string& backend,
+                       storage::ArtifactStore* store)
+    : type_(backend_named(backend).name),
+      resumes_(backend_named(backend).resumes_from_checkpoint),
+      store_(store) {}
+
 const char* power_state_name(PowerState state) noexcept {
   switch (state) {
     case PowerState::kStopped: return "stopped";
     case PowerState::kSuspended: return "suspended";
     case PowerState::kRunning: return "running";
-    case PowerState::kDestroyed: return "destroyed";
   }
   return "stopped";
 }
 
 Result<VmInstance*> Hypervisor::find_mutable(const std::string& vm_id) {
   auto it = instances_.find(vm_id);
-  if (it == instances_.end() ||
-      it->second.power == PowerState::kDestroyed) {
+  if (it == instances_.end()) {
     return Result<VmInstance*>(
         Error(ErrorCode::kNotFound, type() + ": no VM " + vm_id));
   }
@@ -46,9 +74,8 @@ std::optional<VmInstance> Hypervisor::snapshot_vm(
 std::vector<std::string> Hypervisor::instance_ids() const {
   std::lock_guard<std::mutex> lock(mutex_);
   std::vector<std::string> out;
-  for (const auto& [id, vm] : instances_) {
-    if (vm.power != PowerState::kDestroyed) out.push_back(id);
-  }
+  out.reserve(instances_.size());
+  for (const auto& [id, vm] : instances_) out.push_back(id);
   return out;
 }
 
@@ -58,12 +85,7 @@ std::size_t Hypervisor::instance_count() const {
 }
 
 std::size_t Hypervisor::active_instances() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  std::size_t count = 0;
-  for (const auto& [id, vm] : instances_) {
-    if (vm.power != PowerState::kDestroyed) ++count;
-  }
-  return count;
+  return instance_count();
 }
 
 std::uint64_t Hypervisor::resident_memory_bytes() const {
@@ -76,6 +98,32 @@ std::uint64_t Hypervisor::resident_memory_bytes() const {
     }
   }
   return total;
+}
+
+Status Hypervisor::validate_clone_source(const CloneSource& source) const {
+  if (resumes_from_checkpoint()) {
+    if (!source.spec.suspended) {
+      return Status(ErrorCode::kFailedPrecondition,
+                    type() + ": golden image must be a suspended checkpoint");
+    }
+    if (!store_->exists(source.layout.memory_path())) {
+      return Status(ErrorCode::kFailedPrecondition,
+                    type() + ": golden image missing memory state: " +
+                        source.layout.memory_path());
+    }
+    return Status();
+  }
+  if (source.spec.suspended) {
+    return Status(ErrorCode::kFailedPrecondition,
+                  type() + ": golden image must be powered off (no checkpoint "
+                          "support in this production line)");
+  }
+  if (source.spec.disk.mode != storage::DiskMode::kNonPersistent) {
+    return Status(ErrorCode::kFailedPrecondition,
+                  type() + ": golden file system must be copy-on-write "
+                          "shareable");
+  }
+  return Status();
 }
 
 Result<std::string> Hypervisor::clone_vm(const CloneSource& source,
@@ -111,7 +159,8 @@ Result<std::string> Hypervisor::clone_vm(const CloneSource& source,
   // request, so concurrent creations overlap here — the whole point of the
   // plant's worker pool.
   auto report = storage::clone_image(store_, source.layout, source.spec,
-                                     clone_dir, clone_strategy());
+                                     clone_dir,
+                                     storage::CloneStrategy::kLinked);
   if (!report.ok()) {
     unlease();
     return report.propagate<std::string>();
@@ -218,19 +267,33 @@ Status Hypervisor::start_vm(const std::string& vm_id) {
     return Status(ErrorCode::kFailedPrecondition,
                   type() + ": VM already running: " + vm_id);
   }
-  auto injected = start_failures_.find(vm_id);
-  if (injected != start_failures_.end() && injected->second) {
-    injected->second = false;
-    return Status(ErrorCode::kInternal,
-                  type() + ": injected start failure for " + vm_id);
-  }
   // Plan-driven fault injection (resume/boot failures look like VMM errors).
   if (auto fault = fault::check(fault::points::kHypervisorResume, vm_id);
       !fault.ok()) {
     return fault;
   }
-  VMP_RETURN_IF_ERROR(do_start(vm.value()));
-  vm.value()->power = PowerState::kRunning;
+  VmInstance* instance = vm.value();
+  if (resumes_from_checkpoint()) {
+    // Resume: the private memory checkpoint must exist (it was copied
+    // during cloning); the guest state is already loaded.
+    if (!store_->exists(instance->layout.memory_path())) {
+      return Status(ErrorCode::kFailedPrecondition,
+                    type() + ": cannot resume, missing memory state for " +
+                        vm_id);
+    }
+  } else {
+    // Boot: the root file-system spans must be reachable through the COW
+    // links, and transient runtime state resets.
+    for (const std::string& span :
+         instance->layout.span_paths(instance->spec.disk)) {
+      if (!store_->exists(span)) {
+        return Status(ErrorCode::kFailedPrecondition,
+                      type() + ": missing file system span: " + span);
+      }
+    }
+    instance->guest.running_services.clear();
+  }
+  instance->power = PowerState::kRunning;
   return Status();
 }
 
@@ -276,41 +339,31 @@ Status Hypervisor::power_off(const std::string& vm_id) {
 }
 
 Status Hypervisor::destroy_vm(const std::string& vm_id) {
-  // Claim the instance under the lock, then delete its tree unlocked (tree
-  // removal is the collect path's size-proportional cost, and concurrent
-  // collects of distinct VMs should overlap like concurrent clones do).
-  std::string dir;
-  std::string golden_id;
-  PowerState prev_power;
-  std::vector<std::string> prev_isos;
+  // Claim the instance by taking its entry out of the table, so a racing
+  // destroy of the same id sees kNotFound.  The tree removal then runs
+  // unlocked (it is the collect path's size-proportional cost, and
+  // concurrent collects of distinct VMs should overlap like clones do).
+  std::map<std::string, VmInstance>::node_type claimed;
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    auto vm = find_mutable(vm_id);
-    if (!vm.ok()) return vm.error();
-    dir = vm.value()->layout.dir;
-    golden_id = vm.value()->golden_id;
-    prev_power = vm.value()->power;
-    prev_isos = std::move(vm.value()->connected_isos);
-    vm.value()->power = PowerState::kDestroyed;
-    vm.value()->connected_isos.clear();
+    claimed = instances_.extract(vm_id);
   }
-  auto removed = storage::destroy_clone(store_, dir);
+  if (claimed.empty()) {
+    return Status(ErrorCode::kNotFound, type() + ": no VM " + vm_id);
+  }
+  const VmInstance& vm = claimed.mapped();
+  auto removed = storage::destroy_clone(store_, vm.layout.dir);
   if (!removed.ok()) {
-    // Deletion failed: the VM is still materialized on disk, so restore its
-    // registration instead of stranding a live directory as "destroyed".
-    // The golden lease is kept — the clone's symlinks still exist.
+    // The VM is still on disk: put it back so destroy stays retryable.  Its
+    // golden lease is kept, since the clone's symlinks still exist.
     std::lock_guard<std::mutex> lock(mutex_);
-    auto it = instances_.find(vm_id);
-    if (it != instances_.end()) {
-      it->second.power = prev_power;
-      it->second.connected_isos = std::move(prev_isos);
-    }
+    instances_.insert(std::move(claimed));
     return removed.error();
   }
   // Only after the clone tree (and its symlinks into the golden) is gone may
   // the lifecycle manager reap a zombie base this clone was pinning.
-  if (lease_hook_ != nullptr && !golden_id.empty()) {
-    lease_hook_->release(golden_id);
+  if (lease_hook_ != nullptr && !vm.golden_id.empty()) {
+    lease_hook_->release(vm.golden_id);
   }
   return Status();
 }
@@ -322,7 +375,7 @@ Result<std::string> Hypervisor::connect_script_iso(const std::string& vm_id,
     std::lock_guard<std::mutex> lock(mutex_);
     auto vm = find_mutable(vm_id);
     if (!vm.ok()) return vm.propagate<std::string>();
-    const std::uint32_t n = ++iso_counters_[vm_id];
+    const std::uint32_t n = ++vm.value()->isos_written;
     iso_path =
         vm.value()->layout.dir + "/config-cd-" + std::to_string(n) + ".iso";
   }
@@ -367,24 +420,6 @@ Result<GuestOutput> Hypervisor::execute_connected_script(
   auto vm = find_mutable(vm_id);
   if (!vm.ok()) return vm.propagate<GuestOutput>();
   return agent_.execute(&vm.value()->guest, script);
-}
-
-Result<GuestOutput> Hypervisor::execute_on_guest(const std::string& vm_id,
-                                                 const std::string& script) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto vm = find_mutable(vm_id);
-  if (!vm.ok()) return vm.propagate<GuestOutput>();
-  if (vm.value()->power != PowerState::kRunning) {
-    return Result<GuestOutput>(
-        Error(ErrorCode::kFailedPrecondition,
-              type() + ": guest not running: " + vm_id));
-  }
-  return agent_.execute(&vm.value()->guest, script);
-}
-
-void Hypervisor::inject_start_failure(const std::string& vm_id) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  start_failures_[vm_id] = true;
 }
 
 }  // namespace vmp::hv

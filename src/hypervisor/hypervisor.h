@@ -8,11 +8,17 @@
 //
 // Hypervisor captures exactly those two mechanisms: state-as-files (clone,
 // destroy) and a control process (start/suspend/stop, virtual CD-ROM
-// attach, guest script execution).  Two backends implement it:
-//   * GsxHypervisor — "classic" hosted VMM: clones resume from a suspended
-//     memory checkpoint; non-persistent disks share golden spans via links.
-//   * UmlHypervisor — user-mode-Linux style: clones boot from scratch on a
-//     copy-on-write file system; no memory state exists.
+// attach, guest script execution).  One class serves every backend; the
+// backends differ in one declared capability (hypervisor.cpp's table):
+//   * vmware-gsx — "classic" hosted VMM: clones resume from a suspended
+//     memory checkpoint (paper footnote 2: the .vmss is copied, disk spans
+//     are linked), so no guest boot happens.
+//   * uml, xen — clones boot from a powered-off copy-on-write file system;
+//     no memory state exists.  Paper §4.1: the UML production line "boots
+//     the virtual machine after cloning, instead of resuming it from a
+//     checkpoint".  Xen is the paravirtual case of §2 (domain-0 control);
+//     only its name, which the warehouse and the timing model read, sets
+//     it apart from UML.
 #pragma once
 
 #include <cstdint>
@@ -31,7 +37,7 @@
 
 namespace vmp::hv {
 
-enum class PowerState { kStopped, kSuspended, kRunning, kDestroyed };
+enum class PowerState { kStopped, kSuspended, kRunning };
 const char* power_state_name(PowerState state) noexcept;
 
 /// One hosted VM instance.
@@ -49,6 +55,8 @@ struct VmInstance {
   /// test-built instance).  While non-empty AND a lease hook is installed,
   /// this instance holds a lease on that image (released on destroy).
   std::string golden_id;
+  /// ISOs ever connected; numbers the next config-cd-<n>.iso.
+  std::uint32_t isos_written = 0;
 };
 
 /// Description of a clone source (a golden image already on disk).
@@ -80,21 +88,24 @@ class GoldenLeaseHook {
 
 class Hypervisor {
  public:
-  explicit Hypervisor(storage::ArtifactStore* store) : store_(store) {}
-  virtual ~Hypervisor() = default;
+  /// `backend` is a warehouse backend name ("vmware-gsx", "uml", "xen");
+  /// an unknown name gets the vmware-gsx behaviour.
+  Hypervisor(const std::string& backend, storage::ArtifactStore* store);
 
   Hypervisor(const Hypervisor&) = delete;
   Hypervisor& operator=(const Hypervisor&) = delete;
 
-  /// Backend identifier ("vmware-gsx", "uml").
-  virtual std::string type() const = 0;
+  /// Backend identifier ("vmware-gsx", "uml", "xen").
+  const std::string& type() const { return type_; }
 
   /// True when this backend resumes clones from a memory checkpoint
   /// (false: clones boot).  Drives both semantics and the timing model.
-  virtual bool resumes_from_checkpoint() const = 0;
+  bool resumes_from_checkpoint() const { return resumes_; }
 
-  /// Clone a golden image into `clone_dir` and register the instance.
-  /// The instance starts Stopped (GSX: suspended-on-disk; UML: powered off).
+  /// Clone a golden image into `clone_dir` and register the instance.  The
+  /// golden must match the backend: a suspended checkpoint to resume from,
+  /// or a powered-off copy-on-write file system to boot.  The instance
+  /// starts Stopped.
   util::Result<std::string> clone_vm(const CloneSource& source,
                                      const std::string& clone_dir,
                                      const std::string& vm_id);
@@ -113,17 +124,21 @@ class Hypervisor {
                                       bool suspended,
                                       const std::string& golden_id = "");
 
-  /// Start the instance: resume (GSX) or boot (UML).
+  /// Start the instance: resume from its checkpoint, or boot (which stops
+  /// every running service; on-disk configuration survives).
   util::Status start_vm(const std::string& vm_id);
 
-  /// Suspend a running instance back to a checkpoint (GSX only).
-  virtual util::Status suspend_vm(const std::string& vm_id);
+  /// Suspend a running instance back to a checkpoint (resuming backends
+  /// only).
+  util::Status suspend_vm(const std::string& vm_id);
 
   /// Power off a running instance (non-persistent disk changes discarded:
   /// the redo log is truncated, mirroring VMware's end-of-session discard).
   util::Status power_off(const std::string& vm_id);
 
-  /// Destroy: power off if needed and delete the clone directory.
+  /// Destroy: delete the clone directory and forget the instance.  Of two
+  /// racing destroys of one VM, exactly one succeeds; the other gets
+  /// kNotFound.
   util::Status destroy_vm(const std::string& vm_id);
 
   /// Write `script` to a new ISO file in the clone dir and connect it as a
@@ -135,30 +150,25 @@ class Hypervisor {
   /// its script.  Instance must be Running.
   util::Result<GuestOutput> execute_connected_script(const std::string& vm_id);
 
-  /// Direct script execution (used by tests and by golden-image authoring).
-  util::Result<GuestOutput> execute_on_guest(const std::string& vm_id,
-                                             const std::string& script);
-
   // -- Introspection --------------------------------------------------------
   /// Borrowed pointer into the instance table.  The table is node-based, so
-  /// the pointer stays valid across registrations of OTHER VMs — but the
-  /// pointed-to instance is only safe to read/mutate from the thread that
-  /// owns the VM (its creating request, or its collector).  Cross-owner
-  /// readers (monitors) must use snapshot_vm() instead.
+  /// the pointer stays valid across registrations of OTHER VMs and until
+  /// this VM is destroyed — but the pointed-to instance is only safe to
+  /// read/mutate from the thread that owns the VM (its creating request, or
+  /// its collector).  Cross-owner readers (monitors) must use snapshot_vm()
+  /// instead.
   const VmInstance* find(const std::string& vm_id) const;
   /// Consistent copy of one instance taken under the hypervisor lock (safe
   /// from any thread, e.g. the VM monitor refreshing during creates).
   std::optional<VmInstance> snapshot_vm(const std::string& vm_id) const;
   std::vector<std::string> instance_ids() const;
+  /// Registered instances.  The table holds live VMs only, so this equals
+  /// active_instances().
   std::size_t instance_count() const;
-  /// Non-destroyed instances (the plant's capacity unit).
+  /// Registered instances (the plant's capacity unit).
   std::size_t active_instances() const;
-  /// Sum of configured memory of non-destroyed instances (bytes).
+  /// Sum of configured memory of running and suspended instances (bytes).
   std::uint64_t resident_memory_bytes() const;
-
-  // -- Fault injection ------------------------------------------------------
-  /// Force the next start_vm on this id to fail (simulates VMM errors).
-  void inject_start_failure(const std::string& vm_id);
 
   /// Install the golden-image lease provider (nullptr disables leasing —
   /// the default, so tests and plants without a lifecycle manager run
@@ -168,19 +178,14 @@ class Hypervisor {
 
   storage::ArtifactStore* store() { return store_; }
 
- protected:
-  /// Backend-specific start semantics.
-  virtual util::Status do_start(VmInstance* vm) = 0;
-  /// Backend-specific clone validation (e.g. GSX requires a checkpoint).
-  virtual util::Status validate_clone_source(const CloneSource& source) const = 0;
-  /// Clone strategy used by this backend.
-  virtual storage::CloneStrategy clone_strategy() const {
-    return storage::CloneStrategy::kLinked;
-  }
-
+ private:
   /// Must be called with mutex_ held.
   util::Result<VmInstance*> find_mutable(const std::string& vm_id);
+  /// The golden must be the kind this backend starts from.
+  util::Status validate_clone_source(const CloneSource& source) const;
 
+  std::string type_;
+  bool resumes_;
   storage::ArtifactStore* store_;
   /// Guards the instance table and every registered instance's fields.
   /// Public operations hold it for their whole body EXCEPT the
@@ -188,10 +193,9 @@ class Hypervisor {
   /// directory no other request touches — that is what lets independent
   /// creations overlap on one plant (DESIGN.md §10).
   mutable std::mutex mutex_;
+  /// Live instances only: destroy_vm erases the entry.
   std::map<std::string, VmInstance> instances_;
-  std::map<std::string, bool> start_failures_;
   GuestAgent agent_;
-  std::map<std::string, std::uint32_t> iso_counters_;
   /// Lease calls run OUTSIDE mutex_ (the hook takes the lifecycle lock,
   /// which in turn takes the warehouse lock — holding mutex_ across that
   /// chain would invert against destroy paths).

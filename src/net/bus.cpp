@@ -42,10 +42,11 @@ MessageBus::MessageBus(BusConfig config)
   obs_latency_ = metrics.timer("bus.call.seconds");
 }
 
-std::string MessageBus::encode_wire(const Message& message) const {
+std::string MessageBus::encode_wire(const Message& message,
+                                    const obs::TraceContext& trace) const {
   return config_.wire_format == WireFormat::kBinary
-             ? codec::encode_message(message)
-             : message.serialize();
+             ? codec::encode_message(message, trace)
+             : message.serialize(trace);
 }
 
 Result<Message> MessageBus::decode_wire(const std::string& wire) const {
@@ -89,7 +90,10 @@ std::vector<std::string> MessageBus::endpoints() const {
 Result<Message> MessageBus::call(const Message& request_msg) {
   // Client-side transport span, parented by the context carried on the
   // message (the caller's span) so a request joins its originating trace
-  // even when the caller sits on another thread.
+  // even when the caller sits on another thread.  Like an RPC client span,
+  // it goes on the wire as the request's parent, so the handler's spans
+  // nest under bus.call.  Disarmed, the message's own context (empty
+  // unless a caller set one) goes out unchanged.
   obs::ScopedSpan span("bus.call", "bus",
                        request_msg.service() + "->" + request_msg.to(),
                        request_msg.trace());
@@ -97,7 +101,8 @@ Result<Message> MessageBus::call(const Message& request_msg) {
   obs_inflight_->add(1);
   const auto start = std::chrono::steady_clock::now();
 
-  Result<Message> result = call_impl(request_msg);
+  Result<Message> result = call_impl(
+      request_msg, span.active() ? span.context() : request_msg.trace());
 
   obs_latency_->record(
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
@@ -110,7 +115,8 @@ Result<Message> MessageBus::call(const Message& request_msg) {
   return result;
 }
 
-Result<Message> MessageBus::call_impl(const Message& request_msg) {
+Result<Message> MessageBus::call_impl(const Message& request_msg,
+                                      const obs::TraceContext& wire_trace) {
   // Injected transport faults (message loss, timeouts) surface exactly like
   // the built-in down/drop mechanisms: as transport-level Result errors.
   if (auto injected = fault::check(fault::points::kBusSend, request_msg.to());
@@ -124,7 +130,7 @@ Result<Message> MessageBus::call_impl(const Message& request_msg) {
   }
 
   // Wire encoding happens outside the lock; routing decisions inside.
-  const std::string wire = encode_wire(request_msg);
+  const std::string wire = encode_wire(request_msg, wire_trace);
 
   Handler handler;
   {
@@ -155,16 +161,16 @@ Result<Message> MessageBus::call_impl(const Message& request_msg) {
   auto decoded = decode_wire(wire);
   if (!decoded.ok()) return decoded;
 
-  // Adopt the trace context that actually survived the wire encoding, so
-  // handler-side spans join the caller's trace the way a remote process
-  // would (not via this thread's ambient context).
+  // Adopt the trace context that actually survived the wire encoding (the
+  // bus.call span), so handler-side spans nest under it the way a remote
+  // process would (not via this thread's ambient context).
   const Message response = [&] {
     obs::ContextGuard adopt(decoded.value().trace());
     return handler(decoded.value());
   }();
 
   // Encode/decode the response leg too.
-  const std::string response_wire = encode_wire(response);
+  const std::string response_wire = encode_wire(response, response.trace());
   obs_bytes_->add(response_wire.size());
   {
     std::lock_guard<std::mutex> lock(mutex_);

@@ -83,9 +83,12 @@ class MessageBus {
     double drop_rate = 0.0;
   };
 
-  util::Result<Message> call_impl(const Message& request_msg);
-  /// One wire leg: encode per config_.wire_format.
-  std::string encode_wire(const Message& message) const;
+  /// `wire_trace` is the context the request carries on the wire.
+  util::Result<Message> call_impl(const Message& request_msg,
+                                  const obs::TraceContext& wire_trace);
+  /// One wire leg: encode per config_.wire_format, carrying `trace`.
+  std::string encode_wire(const Message& message,
+                          const obs::TraceContext& trace) const;
   util::Result<Message> decode_wire(const std::string& wire) const;
 
   BusConfig config_;

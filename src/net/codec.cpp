@@ -174,7 +174,8 @@ Result<std::unique_ptr<xml::Element>> decode_element(ByteReader* in) {
 
 // -- Message envelopes --------------------------------------------------------
 
-std::string encode_message(const Message& message) {
+std::string encode_message(const Message& message,
+                           const obs::TraceContext& trace) {
   ByteBuffer payload;
   payload.reserve(256);
   payload.put_u8(static_cast<std::uint8_t>(message.kind()));
@@ -182,8 +183,8 @@ std::string encode_message(const Message& message) {
   payload.put_string(message.from());
   payload.put_string(message.to());
   payload.put_string(message.correlation());
-  payload.put_string(message.trace().trace_id);
-  payload.put_varint(message.trace().span_id);
+  payload.put_string(trace.trace_id);
+  payload.put_varint(trace.span_id);
   encode_element(message.body(), &payload);
   return seal_frame(FrameTag::kMessage, payload.take());
 }

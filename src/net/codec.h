@@ -72,7 +72,12 @@ util::Result<std::unique_ptr<xml::Element>> decode_element(
     util::ByteReader* in);
 
 // -- Message envelopes --------------------------------------------------------
-std::string encode_message(const Message& message);
+/// The two-argument form writes `trace` in place of message.trace().
+std::string encode_message(const Message& message,
+                           const obs::TraceContext& trace);
+inline std::string encode_message(const Message& message) {
+  return encode_message(message, message.trace());
+}
 util::Result<Message> decode_message(std::string_view frame);
 
 // -- Warehouse descriptors ----------------------------------------------------

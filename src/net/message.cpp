@@ -86,16 +86,16 @@ Error Message::fault_error() const {
   return Error(ErrorCode::kInternal, fault->text());
 }
 
-std::string Message::serialize() const {
+std::string Message::serialize(const obs::TraceContext& trace) const {
   xml::Element root("message");
   root.set_attr("kind", message_kind_name(kind_));
   root.set_attr("service", service_);
   root.set_attr("from", from_);
   root.set_attr("to", to_);
   root.set_attr("correlation", correlation_);
-  if (trace_.valid()) {
-    root.set_attr("trace", trace_.trace_id);
-    root.set_attr("span", std::to_string(trace_.span_id));
+  if (trace.valid()) {
+    root.set_attr("trace", trace.trace_id);
+    root.set_attr("span", std::to_string(trace.span_id));
   }
   for (const auto& child : body_->children()) {
     root.adopt_child(child->clone());

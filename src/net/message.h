@@ -62,8 +62,10 @@ class Message {
   const obs::TraceContext& trace() const { return trace_; }
   void set_trace(obs::TraceContext ctx) { trace_ = std::move(ctx); }
 
-  /// Wire form.
-  std::string serialize() const;
+  /// Wire form.  The overload writes `trace` in place of trace(): the bus
+  /// stamps its client span there so the server side nests under it.
+  std::string serialize() const { return serialize(trace_); }
+  std::string serialize(const obs::TraceContext& trace) const;
   static util::Result<Message> deserialize(const std::string& wire);
 
  private:

@@ -10,7 +10,7 @@
 #include "core/ppp.h"
 #include "core/production_line.h"
 #include "core/request.h"
-#include "hypervisor/gsx.h"
+#include "hypervisor/hypervisor.h"
 #include "workload/dag_library.h"
 #include "workload/request_gen.h"
 

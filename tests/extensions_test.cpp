@@ -9,8 +9,7 @@
 #include "cluster/timing_model.h"
 #include "core/migration.h"
 #include "core/plant.h"
-#include "hypervisor/gsx.h"
-#include "hypervisor/xen.h"
+#include "hypervisor/hypervisor.h"
 #include "util/stats.h"
 #include "workload/dag_library.h"
 #include "workload/request_gen.h"
@@ -78,18 +77,6 @@ TEST_F(ExtensionsTest, XenBackendBootsClones) {
   // Boot path: no memory checkpoint copied.
   EXPECT_LT(ad.value().get_integer(core::attrs::kCloneBytesCopied).value(),
             static_cast<std::int64_t>(1 * kMb));
-}
-
-TEST_F(ExtensionsTest, XenRefusesSuspendedGolden) {
-  hv::XenHypervisor xen(store_.get());
-  hv::CloneSource source;
-  source.layout = storage::ImageLayout{"warehouse/golden-32mb"};
-  auto golden = warehouse_->lookup("golden-32mb");
-  ASSERT_TRUE(golden.ok());
-  source.spec = golden.value().spec;  // suspended GSX checkpoint
-  auto id = xen.clone_vm(source, "clones/x1", "x1");
-  ASSERT_FALSE(id.ok());
-  EXPECT_EQ(id.error().code(), util::ErrorCode::kFailedPrecondition);
 }
 
 TEST_F(ExtensionsTest, XenTimingFasterThanUmlSlowerThanResume) {
@@ -276,7 +263,7 @@ TEST_F(ExtensionsTest, CopyTreePreservesFilesAndLinks) {
 }
 
 TEST_F(ExtensionsTest, ImportVmValidation) {
-  hv::GsxHypervisor gsx(store_.get());
+  hv::Hypervisor gsx("vmware-gsx", store_.get());
   auto golden = warehouse_->lookup("golden-32mb");
   ASSERT_TRUE(golden.ok());
   // Copy the golden dir to act as an imported clone directory.

@@ -19,7 +19,7 @@
 #include "core/plant.h"
 #include "core/shop.h"
 #include "fault/fault.h"
-#include "hypervisor/gsx.h"
+#include "hypervisor/hypervisor.h"
 #include "obs/export.h"
 #include "obs/histogram.h"
 #include "obs/metrics.h"
@@ -554,7 +554,7 @@ TEST(VmMonitorLifecycleTest, StopPeriodicRemovesHealthAndFleetAds) {
   storage::ArtifactStore store(std::filesystem::temp_directory_path() /
                                ("vmp-monitor-test-" +
                                 std::to_string(::getpid())));
-  hv::GsxHypervisor hypervisor(&store);
+  hv::Hypervisor hypervisor("vmware-gsx", &store);
   core::VmInformationSystem info;
   core::VmMonitor monitor(&hypervisor, &info);
   monitor.enable_obs_export();

@@ -1,12 +1,15 @@
-// Unit tests for the guest model/agent and the GSX / UML hypervisor
-// backends.
+// Unit tests for the guest model/agent, the hypervisor backends and the
+// conformance suite every backend passes.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <filesystem>
+#include <thread>
 
-#include "hypervisor/gsx.h"
+#include "fault/fault.h"
 #include "hypervisor/guest.h"
-#include "hypervisor/uml.h"
+#include "hypervisor/hypervisor.h"
 
 namespace vmp::hv {
 namespace {
@@ -182,9 +185,12 @@ TEST_F(AgentTest, MissingArgumentsFail) {
 class HypervisorTest : public ::testing::Test {
  protected:
   void SetUp() override {
+    // Parameterized test names carry a '/', which must not nest the root.
+    std::string name =
+        ::testing::UnitTest::GetInstance()->current_test_info()->name();
+    std::replace(name.begin(), name.end(), '/', '-');
     root_ = std::filesystem::temp_directory_path() /
-            ("vmp-hv-test-" + std::to_string(::getpid()) + "-" +
-             ::testing::UnitTest::GetInstance()->current_test_info()->name());
+            ("vmp-hv-test-" + std::to_string(::getpid()) + "-" + name);
     std::filesystem::remove_all(root_);
     store_ = std::make_unique<storage::ArtifactStore>(root_);
   }
@@ -216,10 +222,31 @@ class HypervisorTest : public ::testing::Test {
   std::unique_ptr<storage::ArtifactStore> store_;
 };
 
+/// Runs `script` in the guest the way the production line does: connect
+/// it as an ISO, then let the guest daemon execute it.
+util::Result<GuestOutput> run_script(Hypervisor& hv, const std::string& vm_id,
+                                     const std::string& script) {
+  auto iso = hv.connect_script_iso(vm_id, script);
+  if (!iso.ok()) return iso.propagate<GuestOutput>();
+  return hv.execute_connected_script(vm_id);
+}
+
+/// Lease hook that only counts (thread-safe for the destroy race).
+class CountingLeaseHook : public GoldenLeaseHook {
+ public:
+  util::Status acquire(const std::string&) override {
+    acquires.fetch_add(1);
+    return util::Status();
+  }
+  void release(const std::string&) noexcept override { releases.fetch_add(1); }
+  std::atomic<int> acquires{0};
+  std::atomic<int> releases{0};
+};
+
 // -- GSX -------------------------------------------------------------------------------
 
 TEST_F(HypervisorTest, GsxCloneResumeLifecycle) {
-  GsxHypervisor gsx(store_.get());
+  Hypervisor gsx("vmware-gsx", store_.get());
   EXPECT_EQ(gsx.type(), "vmware-gsx");
   EXPECT_TRUE(gsx.resumes_from_checkpoint());
 
@@ -244,20 +271,18 @@ TEST_F(HypervisorTest, GsxCloneResumeLifecycle) {
   EXPECT_FALSE(store_->exists("clones/vm1"));
 }
 
-TEST_F(HypervisorTest, GsxRefusesBootOnlyGolden) {
-  GsxHypervisor gsx(store_.get());
-  const CloneSource golden = make_golden(/*suspended=*/false);
-  auto id = gsx.clone_vm(golden, "clones/vm1", "vm1");
-  ASSERT_FALSE(id.ok());
-  EXPECT_EQ(id.error().code(), util::ErrorCode::kFailedPrecondition);
+TEST_F(HypervisorTest, UnknownBackendFallsBackToGsx) {
+  Hypervisor hv("bochs", store_.get());
+  EXPECT_EQ(hv.type(), "vmware-gsx");
+  EXPECT_TRUE(hv.resumes_from_checkpoint());
 }
 
 TEST_F(HypervisorTest, GsxSuspendWritesCheckpoint) {
-  GsxHypervisor gsx(store_.get());
+  Hypervisor gsx("vmware-gsx", store_.get());
   auto id = gsx.clone_vm(make_golden(true), "clones/vm1", "vm1");
   ASSERT_TRUE(id.ok());
   ASSERT_TRUE(gsx.start_vm("vm1").ok());
-  ASSERT_TRUE(gsx.execute_on_guest("vm1", "adduser eve").ok());
+  ASSERT_TRUE(run_script(gsx, "vm1", "adduser eve").ok());
   ASSERT_TRUE(gsx.suspend_vm("vm1").ok());
   EXPECT_EQ(gsx.find("vm1")->power, PowerState::kSuspended);
   // guest.state on disk reflects the suspended guest.
@@ -267,7 +292,7 @@ TEST_F(HypervisorTest, GsxSuspendWritesCheckpoint) {
 }
 
 TEST_F(HypervisorTest, DuplicateVmIdRejected) {
-  GsxHypervisor gsx(store_.get());
+  Hypervisor gsx("vmware-gsx", store_.get());
   ASSERT_TRUE(gsx.clone_vm(make_golden(true), "clones/a", "vm1").ok());
   auto dup = gsx.clone_vm(make_golden(true), "clones/b", "vm1");
   ASSERT_FALSE(dup.ok());
@@ -275,36 +300,31 @@ TEST_F(HypervisorTest, DuplicateVmIdRejected) {
 }
 
 TEST_F(HypervisorTest, OperationsOnMissingVmFail) {
-  GsxHypervisor gsx(store_.get());
+  Hypervisor gsx("vmware-gsx", store_.get());
   EXPECT_FALSE(gsx.start_vm("ghost").ok());
   EXPECT_FALSE(gsx.power_off("ghost").ok());
   EXPECT_FALSE(gsx.destroy_vm("ghost").ok());
-  EXPECT_FALSE(gsx.execute_on_guest("ghost", "install x").ok());
+  EXPECT_FALSE(gsx.connect_script_iso("ghost", "install x").ok());
+  EXPECT_FALSE(gsx.execute_connected_script("ghost").ok());
 }
 
 TEST_F(HypervisorTest, DoubleStartRejected) {
-  GsxHypervisor gsx(store_.get());
+  Hypervisor gsx("vmware-gsx", store_.get());
   ASSERT_TRUE(gsx.clone_vm(make_golden(true), "clones/a", "vm1").ok());
   ASSERT_TRUE(gsx.start_vm("vm1").ok());
   EXPECT_FALSE(gsx.start_vm("vm1").ok());
 }
 
-TEST_F(HypervisorTest, InjectedStartFailureFiresOnce) {
-  GsxHypervisor gsx(store_.get());
-  ASSERT_TRUE(gsx.clone_vm(make_golden(true), "clones/a", "vm1").ok());
-  gsx.inject_start_failure("vm1");
-  EXPECT_FALSE(gsx.start_vm("vm1").ok());
-  EXPECT_TRUE(gsx.start_vm("vm1").ok());  // recovers on retry
-}
-
 TEST_F(HypervisorTest, GuestExecutionRequiresRunning) {
-  GsxHypervisor gsx(store_.get());
+  Hypervisor gsx("vmware-gsx", store_.get());
   ASSERT_TRUE(gsx.clone_vm(make_golden(true), "clones/a", "vm1").ok());
-  EXPECT_FALSE(gsx.execute_on_guest("vm1", "install x").ok());
+  auto out = run_script(gsx, "vm1", "install x");
+  ASSERT_FALSE(out.ok());
+  EXPECT_EQ(out.error().code(), util::ErrorCode::kFailedPrecondition);
 }
 
 TEST_F(HypervisorTest, IsoScriptPath) {
-  GsxHypervisor gsx(store_.get());
+  Hypervisor gsx("vmware-gsx", store_.get());
   ASSERT_TRUE(gsx.clone_vm(make_golden(true), "clones/a", "vm1").ok());
   ASSERT_TRUE(gsx.start_vm("vm1").ok());
 
@@ -329,7 +349,7 @@ TEST_F(HypervisorTest, IsoScriptPath) {
 }
 
 TEST_F(HypervisorTest, ResidentMemoryAccounting) {
-  GsxHypervisor gsx(store_.get());
+  Hypervisor gsx("vmware-gsx", store_.get());
   ASSERT_TRUE(gsx.clone_vm(make_golden(true, 64), "clones/a", "vm1").ok());
   ASSERT_TRUE(gsx.clone_vm(make_golden(true, 32, "warehouse/golden32"),
                            "clones/b", "vm2")
@@ -344,10 +364,45 @@ TEST_F(HypervisorTest, ResidentMemoryAccounting) {
   EXPECT_EQ(gsx.instance_ids().size(), 1u);
 }
 
+TEST_F(HypervisorTest, SameIdDestroyRaceHasOneWinner) {
+  // Two collectors race to destroy one VM: the table entry is the claim,
+  // so exactly one destroys the tree and releases the lease.
+  Hypervisor gsx("vmware-gsx", store_.get());
+  CountingLeaseHook hook;
+  gsx.set_lease_hook(&hook);
+  CloneSource golden = make_golden(true);
+  golden.golden_id = "golden";
+  for (int round = 0; round < 20; ++round) {
+    const std::string id = "vm" + std::to_string(round);
+    ASSERT_TRUE(gsx.clone_vm(golden, "clones/" + id, id).ok());
+    std::atomic<bool> go{false};
+    util::Status results[2];
+    std::thread racers[2];
+    for (int t = 0; t < 2; ++t) {
+      racers[t] = std::thread([&, t] {
+        while (!go.load()) std::this_thread::yield();
+        results[t] = gsx.destroy_vm(id);
+      });
+    }
+    go.store(true);
+    for (std::thread& racer : racers) racer.join();
+    EXPECT_NE(results[0].ok(), results[1].ok()) << "round " << round;
+    for (const util::Status& result : results) {
+      if (!result.ok()) {
+        EXPECT_EQ(result.error().code(), util::ErrorCode::kNotFound);
+      }
+    }
+    EXPECT_FALSE(store_->exists("clones/" + id));
+    EXPECT_EQ(hook.releases.load(), round + 1);
+  }
+  EXPECT_EQ(hook.acquires.load(), 20);
+  EXPECT_EQ(gsx.instance_count(), 0u);
+}
+
 // -- UML --------------------------------------------------------------------------------
 
 TEST_F(HypervisorTest, UmlBootLifecycle) {
-  UmlHypervisor uml(store_.get());
+  Hypervisor uml("uml", store_.get());
   EXPECT_EQ(uml.type(), "uml");
   EXPECT_FALSE(uml.resumes_from_checkpoint());
 
@@ -364,27 +419,146 @@ TEST_F(HypervisorTest, UmlBootLifecycle) {
 }
 
 TEST_F(HypervisorTest, UmlRefusesSuspendedGolden) {
-  UmlHypervisor uml(store_.get());
+  Hypervisor uml("uml", store_.get());
   auto id = uml.clone_vm(make_golden(/*suspended=*/true), "clones/u1", "u1");
   ASSERT_FALSE(id.ok());
   EXPECT_EQ(id.error().code(), util::ErrorCode::kFailedPrecondition);
 }
 
 TEST_F(HypervisorTest, UmlHasNoSuspendSupport) {
-  UmlHypervisor uml(store_.get());
+  Hypervisor uml("uml", store_.get());
   ASSERT_TRUE(uml.clone_vm(make_golden(false), "clones/u1", "u1").ok());
   ASSERT_TRUE(uml.start_vm("u1").ok());
   EXPECT_FALSE(uml.suspend_vm("u1").ok());
 }
 
 TEST_F(HypervisorTest, UmlCloneIsCowShared) {
-  UmlHypervisor uml(store_.get());
+  Hypervisor uml("uml", store_.get());
   ASSERT_TRUE(uml.clone_vm(make_golden(false), "clones/u1", "u1").ok());
   const VmInstance* vm = uml.find("u1");
   // The root file-system span is a link; no memory state was copied.
   EXPECT_EQ(vm->clone_report.disk.links_created, 1u);
   EXPECT_EQ(vm->clone_report.memory.bytes_written, 0u);
 }
+
+// -- Backend conformance ------------------------------------------------------------------
+//
+// The contract every backend keeps.  The golden each case clones is the
+// kind the backend's one capability asks for: a suspended checkpoint when
+// it resumes, a powered-off copy-on-write file system when it boots.
+
+class BackendConformanceTest
+    : public HypervisorTest,
+      public ::testing::WithParamInterface<const char*> {
+ protected:
+  void SetUp() override {
+    HypervisorTest::SetUp();
+    hv_ = std::make_unique<Hypervisor>(GetParam(), store_.get());
+    hv_->set_lease_hook(&hook_);
+  }
+  void TearDown() override {
+    hv_.reset();
+    HypervisorTest::TearDown();
+  }
+
+  /// A golden of the backend's kind (or of the other kind), leased under
+  /// the id "golden" and captured with a service running.
+  CloneSource golden(bool right_kind = true) {
+    const bool suspended = hv_->resumes_from_checkpoint() == right_kind;
+    CloneSource source = make_golden(suspended);
+    source.golden_id = "golden";
+    source.guest.running_services = {"vnc-server"};
+    return source;
+  }
+
+  CountingLeaseHook hook_;
+  std::unique_ptr<Hypervisor> hv_;
+};
+
+TEST_P(BackendConformanceTest, CloneStartDestroyLeavesNothing) {
+  EXPECT_EQ(hv_->type(), GetParam());
+  ASSERT_TRUE(hv_->clone_vm(golden(), "clones/vm1", "vm1").ok());
+  EXPECT_TRUE(store_->exists("clones/vm1"));
+  ASSERT_TRUE(hv_->start_vm("vm1").ok());
+  const auto running = hv_->snapshot_vm("vm1");
+  ASSERT_TRUE(running.has_value());
+  EXPECT_EQ(running->power, PowerState::kRunning);
+  EXPECT_EQ(hv_->resident_memory_bytes(), 64ull << 20);
+  // Resume keeps the captured runtime state; boot stops every service.
+  EXPECT_EQ(running->guest.running_services.count("vnc-server") == 1,
+            hv_->resumes_from_checkpoint());
+  EXPECT_TRUE(running->guest.packages.count("vnc-server"));
+
+  ASSERT_TRUE(hv_->destroy_vm("vm1").ok());
+  EXPECT_FALSE(store_->exists("clones/vm1"));
+  EXPECT_FALSE(hv_->snapshot_vm("vm1").has_value());
+  EXPECT_EQ(hv_->instance_count(), 0u);
+  EXPECT_EQ(hv_->active_instances(), 0u);
+  EXPECT_EQ(hv_->resident_memory_bytes(), 0u);
+  const util::Status again = hv_->destroy_vm("vm1");
+  ASSERT_FALSE(again.ok());
+  EXPECT_EQ(again.error().code(), util::ErrorCode::kNotFound);
+}
+
+TEST_P(BackendConformanceTest, WrongGoldenKindRefused) {
+  auto id = hv_->clone_vm(golden(/*right_kind=*/false), "clones/vm1", "vm1");
+  ASSERT_FALSE(id.ok());
+  EXPECT_EQ(id.error().code(), util::ErrorCode::kFailedPrecondition);
+  EXPECT_FALSE(store_->exists("clones/vm1"));
+  EXPECT_EQ(hook_.acquires.load(), 0);
+  EXPECT_EQ(hv_->instance_count(), 0u);
+}
+
+TEST_P(BackendConformanceTest, SuspendResumeOnlyWhereCheckpointed) {
+  ASSERT_TRUE(hv_->clone_vm(golden(), "clones/vm1", "vm1").ok());
+  ASSERT_TRUE(hv_->start_vm("vm1").ok());
+  ASSERT_TRUE(run_script(*hv_, "vm1", "install late-package").ok());
+  const util::Status suspended = hv_->suspend_vm("vm1");
+  if (!hv_->resumes_from_checkpoint()) {
+    ASSERT_FALSE(suspended.ok());
+    EXPECT_EQ(suspended.error().code(), util::ErrorCode::kFailedPrecondition);
+    EXPECT_EQ(hv_->find("vm1")->power, PowerState::kRunning);
+    return;
+  }
+  ASSERT_TRUE(suspended.ok()) << suspended.error().to_string();
+  EXPECT_EQ(hv_->find("vm1")->power, PowerState::kSuspended);
+  EXPECT_TRUE(store_->exists(hv_->find("vm1")->layout.memory_path()));
+  ASSERT_TRUE(hv_->start_vm("vm1").ok());
+  EXPECT_TRUE(hv_->find("vm1")->guest.packages.count("late-package"));
+  EXPECT_TRUE(hv_->find("vm1")->guest.running_services.count("vnc-server"));
+}
+
+TEST_P(BackendConformanceTest, PlannedStartFailureFiresOnce) {
+  fault::ScopedFaultPlan plan(
+      fault::FaultPlan::parse("hypervisor.resume:target=vm1,times=1").value());
+  ASSERT_TRUE(hv_->clone_vm(golden(), "clones/vm1", "vm1").ok());
+  const util::Status first = hv_->start_vm("vm1");
+  ASSERT_FALSE(first.ok());
+  EXPECT_EQ(first.error().code(), util::ErrorCode::kInternal);
+  EXPECT_EQ(hv_->find("vm1")->power, PowerState::kStopped);
+  EXPECT_TRUE(hv_->start_vm("vm1").ok());  // recovers on retry
+}
+
+TEST_P(BackendConformanceTest, OneLeasePerClone) {
+  ASSERT_TRUE(hv_->clone_vm(golden(), "clones/vm1", "vm1").ok());
+  ASSERT_TRUE(hv_->clone_vm(golden(), "clones/vm2", "vm2").ok());
+  EXPECT_EQ(hook_.acquires.load(), 2);
+  EXPECT_EQ(hook_.releases.load(), 0);
+  ASSERT_TRUE(hv_->destroy_vm("vm1").ok());
+  EXPECT_EQ(hook_.releases.load(), 1);
+  ASSERT_TRUE(hv_->destroy_vm("vm2").ok());
+  EXPECT_EQ(hook_.acquires.load(), 2);
+  EXPECT_EQ(hook_.releases.load(), 2);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Backends, BackendConformanceTest,
+    ::testing::Values("vmware-gsx", "uml", "xen"),
+    [](const ::testing::TestParamInfo<const char*>& param_info) {
+      std::string name = param_info.param;
+      std::replace(name.begin(), name.end(), '-', '_');
+      return name;
+    });
 
 }  // namespace
 }  // namespace vmp::hv

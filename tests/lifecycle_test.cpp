@@ -8,7 +8,7 @@
 #include <thread>
 #include <vector>
 
-#include "hypervisor/gsx.h"
+#include "hypervisor/hypervisor.h"
 #include "lifecycle/lifecycle.h"
 #include "lifecycle/policy.h"
 #include "warehouse/warehouse.h"
@@ -242,7 +242,7 @@ TEST_F(LifecycleTest, CloneLeasePreventsBaseDeletion) {
   auto published = warehouse_->lookup("base");
   ASSERT_TRUE(published.ok());
 
-  hv::GsxHypervisor gsx(store_.get());
+  hv::Hypervisor gsx("vmware-gsx", store_.get());
   gsx.set_lease_hook(lifecycle_.get());
   ASSERT_TRUE(store_->make_dir("clones").ok());
 
@@ -276,7 +276,7 @@ TEST_F(LifecycleTest, FailedCloneReleasesItsLease) {
   auto published = warehouse_->lookup("base");
   ASSERT_TRUE(published.ok());
 
-  hv::GsxHypervisor gsx(store_.get());
+  hv::Hypervisor gsx("vmware-gsx", store_.get());
   gsx.set_lease_hook(lifecycle_.get());
   ASSERT_TRUE(store_->make_dir("clones").ok());
   // Pre-existing clone dir makes clone_image fail AFTER the lease is taken.
@@ -465,7 +465,7 @@ TEST_F(LifecycleTest, CloneEvictStormNeverBreaksALease) {
     ASSERT_TRUE(
         lifecycle_->publish(golden("g" + std::to_string(i), 16, 64)).ok());
   }
-  hv::GsxHypervisor gsx(store_.get());
+  hv::Hypervisor gsx("vmware-gsx", store_.get());
   gsx.set_lease_hook(lifecycle_.get());
   ASSERT_TRUE(store_->make_dir("clones").ok());
 

@@ -345,6 +345,17 @@ class ObsEndToEndTest : public ::testing::Test {
     return nullptr;
   }
 
+  /// The create's successful bus.call (a lost leg ends with an error).
+  const obs::Span* find_create_call(const std::vector<obs::Span>& spans) {
+    for (const auto& s : spans) {
+      if (s.name == "bus.call" && s.detail.starts_with("vmplant.create") &&
+          s.status == "ok") {
+        return &s;
+      }
+    }
+    return nullptr;
+  }
+
   std::filesystem::path root_;
   std::unique_ptr<storage::ArtifactStore> store_;
   std::unique_ptr<warehouse::Warehouse> warehouse_;
@@ -379,12 +390,15 @@ TEST_F(ObsEndToEndTest, CreateYieldsSpanTreeCoveringBidMatchCloneConfigureAttach
     EXPECT_NE(find_span(spans, phase), nullptr) << "missing span " << phase;
   }
 
-  // Wire propagation: plant.create's parent is the shop-side context that
-  // rode the message (the shop.create span), not the bus.call client span
-  // that happened to be open on the same thread.
+  // Wire propagation: plant.create's parent is the context that rode the
+  // message, which is the create's bus.call client span (a child of
+  // shop.create), as in an RPC.
   const obs::Span* plant_create = find_span(spans, "plant.create");
   ASSERT_NE(plant_create, nullptr);
-  EXPECT_EQ(plant_create->parent_id, root->span_id);
+  const obs::Span* create_call = find_create_call(spans);
+  ASSERT_NE(create_call, nullptr);
+  EXPECT_EQ(plant_create->parent_id, create_call->span_id);
+  EXPECT_EQ(create_call->parent_id, root->span_id);
   EXPECT_EQ(plant_create->vm_id, vm_id);
 
   // The tree is connected: every non-root span's parent exists.
@@ -510,8 +524,8 @@ TEST_F(ObsEndToEndTest, LostThenRetriedMessageKeepsOneTraceWithRetrySpan) {
   EXPECT_EQ(retry->status, "retry");
   EXPECT_TRUE(retry->ok());
 
-  // Both bus.call legs (lost + retried) and the eventual plant.create all
-  // hang off the same root.
+  // Both bus.call legs (lost + retried) hang off the same root, and the
+  // eventual plant.create nests under the retried leg.
   const obs::Span* root = obs::find_root(spans);
   ASSERT_NE(root, nullptr);
   EXPECT_EQ(root->name, "shop.create");
@@ -522,7 +536,10 @@ TEST_F(ObsEndToEndTest, LostThenRetriedMessageKeepsOneTraceWithRetrySpan) {
   EXPECT_GE(bus_calls, 2u);
   const obs::Span* plant_create = find_span(spans, "plant.create");
   ASSERT_NE(plant_create, nullptr);
-  EXPECT_EQ(plant_create->parent_id, root->span_id);
+  const obs::Span* create_call = find_create_call(spans);
+  ASSERT_NE(create_call, nullptr);
+  EXPECT_EQ(plant_create->parent_id, create_call->span_id);
+  EXPECT_EQ(create_call->parent_id, root->span_id);
 
   obs::MetricsSnapshot snap = MetricsRegistry::instance().snapshot();
   EXPECT_EQ(snap.counter("shop.retry.count"), 1u);

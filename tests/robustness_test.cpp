@@ -11,7 +11,7 @@
 #include "core/shop.h"
 #include "dag/dag_xml.h"
 #include "fault/fault.h"
-#include "hypervisor/gsx.h"
+#include "hypervisor/hypervisor.h"
 #include "util/random.h"
 #include "util/thread_pool.h"
 #include "warehouse/warehouse.h"
@@ -186,11 +186,15 @@ TEST_F(FaultTest, InjectedVmmStartFailureAbortsCleanly) {
   auto& plant = *plants_[0];
   // The next VM id the plant will assign:
   const std::string next_id = plant.name() + "-vm-0001";
-  plant.hypervisor().inject_start_failure(next_id);
+  fault::ScopedFaultPlan scoped(
+      fault::FaultPlan::parse("hypervisor.resume:target=" + next_id +
+                              ",times=1")
+          .value());
 
   auto ad = plant.create(workload::workspace_request(32, 0, "d"));
   ASSERT_FALSE(ad.ok());
   EXPECT_EQ(plant.active_vms(), 0u);
+  EXPECT_EQ(plant.hypervisor().instance_count(), 0u);
   EXPECT_EQ(plant.allocator().free_networks(), 4u);
 
   // The very next attempt succeeds (failure was transient).
@@ -409,7 +413,8 @@ TEST_F(FaultTest, SuspendResumeCyclePreservesGuestState) {
   const std::string vm_id = ad.value().get_string(core::attrs::kVmId).value();
   auto& hypervisor = plant.hypervisor();
 
-  ASSERT_TRUE(hypervisor.execute_on_guest(vm_id, "install late-package").ok());
+  ASSERT_TRUE(hypervisor.connect_script_iso(vm_id, "install late-package").ok());
+  ASSERT_TRUE(hypervisor.execute_connected_script(vm_id).ok());
   ASSERT_TRUE(hypervisor.suspend_vm(vm_id).ok());
   ASSERT_TRUE(hypervisor.start_vm(vm_id).ok());  // resume
   EXPECT_TRUE(hypervisor.find(vm_id)->guest.packages.count("late-package"));

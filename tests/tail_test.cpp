@@ -15,6 +15,7 @@
 
 #include "fault/fault.h"
 #include "lifecycle/lifecycle.h"
+#include "net/bus.h"
 #include "obs/critical_path.h"
 #include "obs/journal.h"
 #include "obs/metrics.h"
@@ -149,6 +150,43 @@ TEST(CriticalPathTest, GoldenFixtureSelfTimes) {
 
   const std::map<std::string, double> selves = self_times(path);
   EXPECT_NEAR(selves.at("lifecycle.evict_to_fit"), 0.4, 1e-9);
+}
+
+TEST(CriticalPathTest, BusHopNestsHandlerUnderBusCall) {
+  // Virtual time: every clock read costs 1 ms, and the plant's handler
+  // spends 500 ms.  The create's wall time must be blamed on plant.create,
+  // reached through bus.call, whose own share is only the two wire legs.
+  Tracer& tracer = Tracer::instance();
+  tracer.arm();
+  auto clock = std::make_shared<double>(0.0);
+  tracer.set_clock([clock] { return *clock += 0.001; });
+  net::MessageBus bus;
+  ASSERT_TRUE(bus.register_endpoint("plant0", [clock](const net::Message& m) {
+                    ScopedSpan handler("plant.create", "vmplant");
+                    *clock += 0.5;
+                    return net::Message::response_to(m);
+                  })
+                  .ok());
+  {
+    ScopedSpan root("shop.create", "vmshop");
+    ASSERT_TRUE(bus.call(net::Message::request("vmplant.create", "shop0",
+                                               "plant0", "req-1"))
+                    .ok());
+  }
+  tracer.set_clock(nullptr);
+  const std::vector<Span> spans = tracer.spans();
+  tracer.disarm();
+
+  const CriticalPath path = critical_path(spans);
+  ASSERT_EQ(path.entries.size(), 3u);
+  EXPECT_EQ(path.entries[0].span.name, "shop.create");
+  EXPECT_EQ(path.entries[1].span.name, "bus.call");
+  EXPECT_EQ(path.entries[2].span.name, "plant.create");
+  EXPECT_EQ(path.entries[2].span.parent_id, path.entries[1].span.span_id);
+  // bus.call opens before and closes after the handler: one clock read
+  // each side of plant.create is all the self time it keeps.
+  EXPECT_NEAR(path.entries[1].self_s, 0.002, 1e-9);
+  EXPECT_NEAR(path.entries[2].self_s, 0.501, 1e-9);
 }
 
 TEST(CriticalPathTest, EmptyAndRootlessTraces) {

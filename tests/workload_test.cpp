@@ -7,7 +7,7 @@
 #include <thread>
 
 #include "core/info_system.h"
-#include "hypervisor/gsx.h"
+#include "hypervisor/hypervisor.h"
 #include "warehouse/warehouse.h"
 #include "workload/dag_library.h"
 #include "vnet/ethernet.h"
@@ -102,7 +102,7 @@ TEST(MonitorTest, PeriodicSweepsRefreshDynamicAttributes) {
     const storage::ImageLayout golden{"golden"};
     ASSERT_TRUE(storage::materialize_image(&store, golden, spec).ok());
 
-    hv::GsxHypervisor gsx(&store);
+    hv::Hypervisor gsx("vmware-gsx", &store);
     hv::CloneSource source;
     source.layout = golden;
     source.spec = spec;
