@@ -79,6 +79,18 @@ TEST_F(ExtensionsTest, XenBackendBootsClones) {
             static_cast<std::int64_t>(1 * kMb));
 }
 
+TEST_F(ExtensionsTest, XenRefusesSuspendedGolden) {
+  hv::Hypervisor xen("xen", store_.get());
+  hv::CloneSource source;
+  source.layout = storage::ImageLayout{"warehouse/golden-32mb"};
+  auto golden = warehouse_->lookup("golden-32mb");
+  ASSERT_TRUE(golden.ok());
+  source.spec = golden.value().spec;  // suspended GSX checkpoint
+  auto id = xen.clone_vm(source, "clones/x1", "x1");
+  ASSERT_FALSE(id.ok());
+  EXPECT_EQ(id.error().code(), util::ErrorCode::kFailedPrecondition);
+}
+
 TEST_F(ExtensionsTest, XenTimingFasterThanUmlSlowerThanResume) {
   cluster::TimingModel model(cluster::TimingConfig{}, 3);
   cluster::CreationObservation xen, uml, gsx;

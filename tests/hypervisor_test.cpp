@@ -277,6 +277,14 @@ TEST_F(HypervisorTest, UnknownBackendFallsBackToGsx) {
   EXPECT_TRUE(hv.resumes_from_checkpoint());
 }
 
+TEST_F(HypervisorTest, GsxRefusesBootOnlyGolden) {
+  Hypervisor gsx("vmware-gsx", store_.get());
+  const CloneSource golden = make_golden(/*suspended=*/false);
+  auto id = gsx.clone_vm(golden, "clones/vm1", "vm1");
+  ASSERT_FALSE(id.ok());
+  EXPECT_EQ(id.error().code(), util::ErrorCode::kFailedPrecondition);
+}
+
 TEST_F(HypervisorTest, GsxSuspendWritesCheckpoint) {
   Hypervisor gsx("vmware-gsx", store_.get());
   auto id = gsx.clone_vm(make_golden(true), "clones/vm1", "vm1");
@@ -313,6 +321,15 @@ TEST_F(HypervisorTest, DoubleStartRejected) {
   ASSERT_TRUE(gsx.clone_vm(make_golden(true), "clones/a", "vm1").ok());
   ASSERT_TRUE(gsx.start_vm("vm1").ok());
   EXPECT_FALSE(gsx.start_vm("vm1").ok());
+}
+
+TEST_F(HypervisorTest, InjectedStartFailureFiresOnce) {
+  Hypervisor gsx("vmware-gsx", store_.get());
+  ASSERT_TRUE(gsx.clone_vm(make_golden(true), "clones/a", "vm1").ok());
+  fault::ScopedFaultPlan plan(
+      fault::FaultPlan::parse("hypervisor.resume:target=vm1,times=1").value());
+  EXPECT_FALSE(gsx.start_vm("vm1").ok());
+  EXPECT_TRUE(gsx.start_vm("vm1").ok());  // recovers on retry
 }
 
 TEST_F(HypervisorTest, GuestExecutionRequiresRunning) {
