@@ -36,7 +36,7 @@ std::string make_sandbox() {
 
 SimulatedDeployment::SimulatedDeployment(DeploymentConfig config)
     : config_(std::move(config)),
-      bus_(net::BusConfig{config_.wire_format, config_.seed ^ 0xb05}),
+      bus_(net::BusConfig{config_.wire_format}),
       timing_(config_.timing, config_.seed) {
   std::string sandbox = config_.sandbox_dir;
   if (sandbox.empty()) {

@@ -124,14 +124,6 @@ Result<std::string> compile_guest_script(const dag::Action& action) {
     if (action.param("subject").empty()) return need("subject");
     return "gridcert " + action.param("user") + " " + action.param("subject");
   }
-  if (op == "inject-fail") {
-    return "fail " + action.param("message");
-  }
-  if (op == "inject-flaky") {
-    if (action.param("token").empty()) return need("token");
-    if (action.param("count").empty()) return need("count");
-    return "flaky " + action.param("token") + " " + action.param("count");
-  }
   if (op == "run-script" || !action.script().empty()) {
     if (action.script().empty()) {
       return Result<std::string>(Error(

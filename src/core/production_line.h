@@ -28,8 +28,9 @@
 //   start-service{service}        stop-service{service}
 //   write-file{path,content}      emit{key,value}
 //   setup-ssh-key{user}           setup-gsi-cert{user,subject}
-//   inject-fail{[message]}        inject-flaky{token,count}
 //   run-script                    (uses the action's script verbatim)
+// Failures are injected per action by plant.configure_action fault rules
+// (target = action id), which feed the error handling above.
 // Host operations:
 //   host-attach-nic               (binds the VM port to the plant's
 //                                  host-only network for the domain)

@@ -88,13 +88,13 @@ std::vector<Bid> VmShop::collect_bids(const CreateRequest& request) {
       ShopMetrics::get().bids_skipped->add();
       continue;
     }
-    // Modeled per-bid deadline: the hook stands in for bid_timeout_s
-    // expiring without an answer.  A firing loses THIS bid only.
+    // Modeled per-bid deadline (the in-process bus has no wall-clock
+    // one): the hook stands in for the bidder not answering in time.  A
+    // firing loses THIS bid only; collection never stalls on it.
     if (Status deadline = fault::check(fault::points::kShopBid, plant.address);
         !deadline.ok()) {
-      kLog.warn() << plant.address << " bid timed out (budget "
-                  << config_.bid_timeout_s
-                  << "s): " << deadline.error().to_string();
+      kLog.warn() << plant.address
+                  << " bid timed out: " << deadline.error().to_string();
       bids_skipped_.fetch_add(1, std::memory_order_relaxed);
       ShopMetrics::get().bids_skipped->add();
       ShopMetrics::get().bid_timeouts->add();
@@ -157,15 +157,6 @@ double VmShop::effective_cost_in(
   if (it == health.end()) return bid.cost;
   return bid.cost *
          (1.0 + config_.health_penalty_weight * (1.0 - it->second));
-}
-
-double VmShop::effective_cost(const Bid& bid) const {
-  if (config_.health_penalty_weight <= 0.0 || !health_provider_) {
-    return bid.cost;
-  }
-  const double health =
-      std::clamp(health_provider_(bid.plant_address), 0.0, 1.0);
-  return bid.cost * (1.0 + config_.health_penalty_weight * (1.0 - health));
 }
 
 void VmShop::sort_by_effective_cost(std::vector<Bid>* bids) const {

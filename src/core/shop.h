@@ -71,13 +71,6 @@ struct ShopConfig {
   /// kResourceExhausted.  0 (default) = unlimited, no admission control.
   std::size_t max_inflight_creates = 0;
   std::size_t admission_queue_limit = 16;
-  /// Per-bid deadline (modeled; the in-process bus has no wall-clock
-  /// deadline).  A bidder that cannot answer within this budget — the
-  /// fault::points::kShopBid hook firing, or a transport-class failure
-  /// from the bus — is SKIPPED for this round, never stalls collection,
-  /// and never disqualifies the others.  0 keeps the legacy behavior of
-  /// waiting on every bus call (the hook still fires when armed).
-  double bid_timeout_s = 0.0;
 };
 
 class VmShop {
@@ -142,10 +135,6 @@ class VmShop {
     health_provider_ = std::move(provider);
   }
 
-  /// Bid cost after the health penalty (identity when the weight is 0 or
-  /// no provider is installed).
-  double effective_cost(const Bid& bid) const;
-
   // -- Bus integration ---------------------------------------------------------
   /// Register the shop endpoint (services vmshop.create / query / destroy)
   /// and publish it in the registry.
@@ -168,7 +157,7 @@ class VmShop {
   }
   /// Bids skipped during collection because the bidder vanished between
   /// the registry snapshot and the bid call, timed out (the shop.bid
-  /// fault hook / bid_timeout_s), or failed at the transport layer.
+  /// fault hook), or failed at the transport layer.
   /// Application-level refusals ("declined") are not counted here.
   std::uint64_t bids_skipped() const {
     return bids_skipped_.load(std::memory_order_relaxed);
@@ -193,7 +182,8 @@ class VmShop {
   /// without strict weak ordering).  Empty when the penalty is off.
   std::map<std::string, double> snapshot_health(
       const std::vector<Bid>& bids) const;
-  /// effective_cost() against a snapshot instead of a live provider read.
+  /// Bid cost after the health penalty cost * (1 + weight * (1 - health)),
+  /// read from one snapshot (identity for plants absent from it).
   double effective_cost_in(const Bid& bid,
                            const std::map<std::string, double>& health) const;
   /// Stable sort by effective cost under one health snapshot.

@@ -191,41 +191,6 @@ Result<FaultPlan> FaultPlan::parse(const std::string& spec,
   return plan;
 }
 
-Result<FaultPlan> FaultPlan::from_xml(const xml::Element& root) {
-  if (root.name() != "fault-plan") {
-    return Result<FaultPlan>(Error(
-        ErrorCode::kParseError, "fault plan: expected <fault-plan> root"));
-  }
-  FaultPlan plan;
-  plan.seed_ = static_cast<std::uint64_t>(root.attr_int("seed", 1));
-  for (const xml::Element* elem : root.children_named("fault")) {
-    if (!elem->has_attr("point")) {
-      return Result<FaultPlan>(Error(
-          ErrorCode::kParseError, "fault plan: <fault> missing point"));
-    }
-    // Reassemble the element as a spec rule so both forms share one
-    // validation path.
-    std::string spec = elem->attr("point");
-    std::string opts;
-    for (const auto& [key, value] : elem->attrs()) {
-      if (key == "point") continue;
-      if (!opts.empty()) opts += ',';
-      opts += key + "=" + value;
-    }
-    if (!opts.empty()) spec += ':' + opts;
-    auto rule = parse_rule(spec);
-    if (!rule.ok()) return rule.propagate<FaultPlan>();
-    plan.rules_.push_back(std::move(rule).value());
-  }
-  return plan;
-}
-
-Result<FaultPlan> FaultPlan::from_xml_string(const std::string& text) {
-  auto doc = xml::parse(text);
-  if (!doc.ok()) return doc.propagate<FaultPlan>();
-  return from_xml(*doc.value());
-}
-
 std::string FaultPlan::to_spec_string() const {
   std::string out;
   for (const FaultRule& rule : rules_) {

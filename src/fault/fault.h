@@ -6,8 +6,10 @@
 // module provides a seed-deterministic way to make them fail on purpose:
 //
 //   * A FaultPlan is a list of rules parsed from a compact spec string
-//     ("store.write:target=clones,after=2,times=1,code=UNAVAILABLE") or the
-//     equivalent XML, plus a seed for probabilistic rules.
+//     ("store.write:target=clones,after=2,times=1,code=UNAVAILABLE") plus
+//     a seed for probabilistic rules.  It is the only way to inject a
+//     fault, so every firing reaches the report, the journal and the
+//     explorer.
 //   * The process-wide FaultRegistry holds the armed plan.  Components
 //     consult named injection points through the inline fault::check()
 //     hook; with no plan armed the hook is a single relaxed atomic load,
@@ -35,7 +37,6 @@
 #include "util/error.h"
 #include "util/random.h"
 #include "util/stats.h"
-#include "xml/xml.h"
 
 namespace vmp::fault {
 
@@ -47,14 +48,16 @@ inline constexpr const char* kBusSend = "bus.send";
 inline constexpr const char* kBusTimeout = "bus.timeout";
 inline constexpr const char* kStoreRead = "store.read";
 inline constexpr const char* kStoreWrite = "store.write";
+/// Consulted only where a failing removal is the modeled event (VM
+/// destroy, lifecycle evict / zombify / reap / orphan sweep).  Cleanup of a half-built clone or image tree never consults it,
+/// so an armed rule cannot leave partial trees behind.
 inline constexpr const char* kStoreRemove = "store.remove";
 inline constexpr const char* kHypervisorResume = "hypervisor.resume";
 inline constexpr const char* kPlantConfigureAction = "plant.configure_action";
 /// Consulted once per plant in VmShop::collect_bids (detail = the plant's
 /// bus address).  A firing turns that one bid into a skipped bid — the
-/// per-bid timeout (ShopConfig::bid_timeout_s) expiring — without
-/// touching the others, so the explorer can branch on individual bid
-/// losses.
+/// bidder's deadline expiring — without touching the others, so the
+/// explorer can branch on individual bid losses.
 inline constexpr const char* kShopBid = "shop.bid";
 }  // namespace points
 
@@ -96,11 +99,6 @@ class FaultPlan {
   /// An empty spec yields an empty (armed but inert) plan.
   static util::Result<FaultPlan> parse(const std::string& spec,
                                        std::uint64_t seed = 1);
-
-  /// XML form: <fault-plan seed="7"><fault point="store.write" target="x"
-  /// after="2" times="1" code="UNAVAILABLE" p="0.5" msg="..."/></fault-plan>
-  static util::Result<FaultPlan> from_xml(const xml::Element& root);
-  static util::Result<FaultPlan> from_xml_string(const std::string& text);
 
   /// Canonical spec string (parse(to_spec_string()) round-trips).
   std::string to_spec_string() const;

@@ -11,15 +11,6 @@ using util::Error;
 using util::ErrorCode;
 using util::Result;
 
-bool GuestState::operator==(const GuestState& other) const {
-  return os == other.os && hostname == other.hostname && ip == other.ip &&
-         mac == other.mac && packages == other.packages &&
-         users == other.users && mounts == other.mounts &&
-         running_services == other.running_services && files == other.files;
-  // flaky_counters intentionally excluded: they are fault-injection
-  // bookkeeping, not guest configuration.
-}
-
 namespace {
 
 /// Encode a value so it survives line-oriented storage.
@@ -254,22 +245,6 @@ GuestOutput GuestAgent::execute(GuestState* state,
       state->files["/etc/grid-security/" + argv[1] + ".pem"] =
           "SUBJECT=" + subject;
       result.outputs["GSISubject_" + argv[1]] = subject;
-    } else if (cmd == "fail") {
-      fail(argv.size() > 1 ? rest_after(line, 1) : "injected failure");
-      break;
-    } else if (cmd == "flaky") {
-      if (argv.size() < 3) { fail("flaky: need token and count"); break; }
-      long long threshold = 0;
-      if (!util::parse_int64(argv[2], &threshold) || threshold < 0) {
-        fail("flaky: bad count: " + argv[2]);
-        break;
-      }
-      const std::uint32_t seen = state->flaky_counters[argv[1]]++;
-      if (seen < static_cast<std::uint32_t>(threshold)) {
-        fail("flaky: transient failure " + std::to_string(seen + 1) + "/" +
-             argv[2] + " for " + argv[1]);
-        break;
-      }
     } else {
       fail("unknown command: " + cmd);
       break;

@@ -27,8 +27,9 @@
 //                                    output SSHKey_<user>
 //   gridcert <user> <subject>     -- X.509/GSI credential for a user;
 //                                    reported as output GSISubject_<user>
-//   fail [message]                -- unconditional failure (fault injection)
-//   flaky <token> <n>             -- fail the first n runs with this token
+//
+// Injected configuration failures come from the fault registry's
+// plant.configure_action rules (fault/fault.h).
 #pragma once
 
 #include <cstdint>
@@ -52,9 +53,8 @@ struct GuestState {
   std::map<std::string, std::string> mounts;    // mountpoint -> source
   std::set<std::string> running_services;
   std::map<std::string, std::string> files;     // path -> content
-  std::map<std::string, std::uint32_t> flaky_counters;
 
-  bool operator==(const GuestState& other) const;
+  bool operator==(const GuestState& other) const = default;
 };
 
 /// Serialize/parse guest state (stored as guest.state in image dirs, so a

@@ -171,7 +171,6 @@ Result<std::string> Hypervisor::clone_vm(const CloneSource& source,
   vm.layout = storage::ImageLayout{clone_dir};
   vm.spec = source.spec;
   vm.guest = source.guest;
-  vm.guest.flaky_counters.clear();
   vm.power = PowerState::kStopped;
   vm.clone_report = report.value();
   vm.golden_id = leased ? source.golden_id : "";

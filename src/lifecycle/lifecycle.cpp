@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "fault/fault.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/logging.h"
@@ -16,6 +17,15 @@ using util::Status;
 namespace {
 
 const util::Logger kLog("lifecycle");
+
+/// A removal whose failure is a modeled event: it consults store.remove
+/// first (ArtifactStore::remove_tree itself never does).
+Result<storage::IoAccounting> remove_consulted(storage::ArtifactStore* store,
+                                               const std::string& relative) {
+  VMP_RETURN_IF_ERROR_AS(fault::check(fault::points::kStoreRemove, relative),
+                         storage::IoAccounting);
+  return store->remove_tree(relative);
+}
 
 struct LifecycleMetrics {
   obs::Counter* lease_hits;
@@ -291,7 +301,7 @@ void LifecycleManager::release(const std::string& golden_id) noexcept {
   if (!it->second.zombie || it->second.leases > 0) return;
   // Last lease on a zombie: the clone trees that symlinked into this base
   // are gone, so the base is finally safe to delete.
-  auto removed = store_->remove_tree(it->second.dir);
+  auto removed = remove_consulted(store_, it->second.dir);
   if (!removed.ok()) {
     kLog.warn() << "zombie reap '" << golden_id << "' failed: "
                 << removed.error().message() << " (left on disk; "
@@ -331,7 +341,7 @@ Status LifecycleManager::evict_unleased_locked(const std::string& id,
     return detached.error();
   }
   policy_->on_evict(stats_for(id, *entry));
-  auto removed = store_->remove_tree(entry->dir);
+  auto removed = remove_consulted(store_, entry->dir);
   const std::uint64_t freed = removed.ok() ? removed.value().bytes_freed : 0;
   if (!removed.ok()) {
     kLog.warn() << "evict '" << id << "': tree removal failed: "
@@ -385,7 +395,7 @@ Status LifecycleManager::evict(const std::string& id) {
                      static_cast<std::uint64_t>(detached.error().code()));
     return detached.error();
   }
-  auto desc = store_->remove_tree(it->second.dir + "/descriptor.xml");
+  auto desc = remove_consulted(store_, it->second.dir + "/descriptor.xml");
   if (!desc.ok()) {
     // The zombie invariant — rescans can never resurrect an evicted image
     // — holds only if the descriptor is gone.  If it cannot be removed the
@@ -561,7 +571,7 @@ Result<ReapReport> LifecycleManager::reap_orphans() {
     // A claimed id with no descriptor is a publish mid-materialization,
     // not debris.
     if (warehouse_->claimed(name)) continue;
-    auto removed = store_->remove_tree(dir);
+    auto removed = remove_consulted(store_, dir);
     if (!removed.ok()) {
       kLog.warn() << "orphan sweep: cannot remove '" << dir
                   << "': " << removed.error().message();

@@ -29,11 +29,7 @@ Result<WireFormat> parse_wire_format(const std::string& name) {
       Error(ErrorCode::kInvalidArgument, "unknown wire format: " + name));
 }
 
-MessageBus::MessageBus(std::uint64_t fault_seed)
-    : MessageBus(BusConfig{WireFormat::kXml, fault_seed}) {}
-
-MessageBus::MessageBus(BusConfig config)
-    : config_(config), fault_rng_(config.fault_seed) {
+MessageBus::MessageBus(BusConfig config) : config_(config) {
   obs::MetricsRegistry& metrics = obs::MetricsRegistry::instance();
   obs_calls_ = metrics.counter("bus.call.count");
   obs_errors_ = metrics.counter("bus.error.count");
@@ -62,7 +58,7 @@ Status MessageBus::register_endpoint(const std::string& address,
     return Status(ErrorCode::kAlreadyExists,
                   "endpoint already registered: " + address);
   }
-  endpoints_.emplace(address, Endpoint{std::move(handler), false, 0.0});
+  endpoints_.emplace(address, Endpoint{std::move(handler)});
   return Status();
 }
 
@@ -118,7 +114,7 @@ Result<Message> MessageBus::call(const Message& request_msg) {
 Result<Message> MessageBus::call_impl(const Message& request_msg,
                                       const obs::TraceContext& wire_trace) {
   // Injected transport faults (message loss, timeouts) surface exactly like
-  // the built-in down/drop mechanisms: as transport-level Result errors.
+  // a down endpoint: as transport-level Result errors.
   if (auto injected = fault::check(fault::points::kBusSend, request_msg.to());
       !injected.ok()) {
     return injected.propagate<Message>();
@@ -145,11 +141,6 @@ Result<Message> MessageBus::call_impl(const Message& request_msg,
     if (it->second.down) {
       return Result<Message>(Error(
           ErrorCode::kUnavailable, "endpoint down: " + request_msg.to()));
-    }
-    if (it->second.drop_rate > 0.0 &&
-        fault_rng_.bernoulli(it->second.drop_rate)) {
-      return Result<Message>(Error(
-          ErrorCode::kTimeout, "request to " + request_msg.to() + " timed out"));
     }
     handler = it->second.handler;
   }
@@ -183,12 +174,6 @@ void MessageBus::set_down(const std::string& address, bool down) {
   std::lock_guard<std::mutex> lock(mutex_);
   auto it = endpoints_.find(address);
   if (it != endpoints_.end()) it->second.down = down;
-}
-
-void MessageBus::set_drop_rate(const std::string& address, double p) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto it = endpoints_.find(address);
-  if (it != endpoints_.end()) it->second.drop_rate = p;
 }
 
 std::uint64_t MessageBus::calls_total() const {

@@ -16,8 +16,9 @@
 // exercise a real encode -> decode per hop; neither is an in-process
 // shortcut.
 //
-// Fault injection supports the failure-handling tests: an address can be
-// marked down (connection refused) or given a drop probability (timeouts).
+// An address can be marked down (connection refused).  Message loss and
+// timeouts come from the fault registry's bus.send / bus.timeout rules
+// (fault/fault.h), so they are seeded, explorable and reported.
 #pragma once
 
 #include <cstdint>
@@ -25,11 +26,11 @@
 #include <map>
 #include <mutex>
 #include <string>
+#include <vector>
 
 #include "net/message.h"
 #include "obs/metrics.h"
 #include "util/error.h"
-#include "util/random.h"
 
 namespace vmp::net {
 
@@ -47,13 +48,11 @@ util::Result<WireFormat> parse_wire_format(const std::string& name);
 
 struct BusConfig {
   WireFormat wire_format = WireFormat::kXml;
-  std::uint64_t fault_seed = 1;
 };
 
 class MessageBus {
  public:
-  explicit MessageBus(std::uint64_t fault_seed = 1);
-  explicit MessageBus(BusConfig config);
+  explicit MessageBus(BusConfig config = {});
 
   WireFormat wire_format() const { return config_.wire_format; }
 
@@ -67,10 +66,8 @@ class MessageBus {
   /// application failures surface as fault Messages in the Result value.
   util::Result<Message> call(const Message& request_msg);
 
-  // -- Fault injection ------------------------------------------------------
+  /// A down address refuses connections (kUnavailable) until set back up.
   void set_down(const std::string& address, bool down);
-  /// Probability in [0,1] that a call to this address times out.
-  void set_drop_rate(const std::string& address, double p);
 
   // -- Statistics -----------------------------------------------------------
   std::uint64_t calls_total() const;
@@ -80,7 +77,6 @@ class MessageBus {
   struct Endpoint {
     Handler handler;
     bool down = false;
-    double drop_rate = 0.0;
   };
 
   /// `wire_trace` is the context the request carries on the wire.
@@ -94,7 +90,6 @@ class MessageBus {
   BusConfig config_;
   mutable std::mutex mutex_;
   std::map<std::string, Endpoint> endpoints_;
-  util::SplitMix64 fault_rng_;
   std::uint64_t calls_ = 0;
   std::uint64_t bytes_ = 0;
 

@@ -272,8 +272,6 @@ void encode_descriptor_payload(const warehouse::GoldenImage& image,
     out->put_string(path);
     out->put_string(content);
   }
-  // flaky_counters intentionally excluded, matching render_guest_state:
-  // they are fault-injection scratch state, not guest configuration.
 
   out->put_varint(image.performed.size());
   for (const auto& signature : image.performed) out->put_string(signature);

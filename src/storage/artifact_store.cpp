@@ -425,10 +425,6 @@ Status ArtifactStore::remove(const std::string& relative) {
 }
 
 Result<IoAccounting> ArtifactStore::remove_tree(const std::string& relative) {
-  if (auto injected = fault::check(fault::points::kStoreRemove, relative);
-      !injected.ok()) {
-    return injected.error();
-  }
   auto p = resolve(relative);
   if (!p.ok()) return p.propagate<IoAccounting>();
   // Measure before deleting so the caller learns what the removal actually

@@ -111,7 +111,10 @@ class ArtifactStore {
 
   /// Recursively delete a tree; reports the physical bytes it freed
   /// (symlink-aware, like tree_footprint).  Removing a missing path
-  /// succeeds and frees nothing, so cleanup paths stay idempotent.
+  /// succeeds and frees nothing, so cleanup paths stay idempotent.  It
+  /// consults no fault hook: callers whose removal may fail by design
+  /// consult store.remove themselves, so partial-tree cleanup cannot be
+  /// blocked.
   util::Result<IoAccounting> remove_tree(const std::string& relative);
 
   // -- Aggregate accounting ---------------------------------------------------

@@ -2,6 +2,7 @@
 
 #include <chrono>
 
+#include "fault/fault.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -155,6 +156,8 @@ Result<IoAccounting> destroy_clone(ArtifactStore* store,
     return Result<IoAccounting>(
         Error(ErrorCode::kNotFound, "clone dir missing: " + clone_dir));
   }
+  VMP_RETURN_IF_ERROR_AS(fault::check(fault::points::kStoreRemove, clone_dir),
+                         IoAccounting);
   return store->remove_tree(clone_dir);
 }
 

@@ -49,6 +49,8 @@ util::Result<CloneReport> clone_image(ArtifactStore* store,
 /// private replicas, never the golden spans its links point at).  Whether a
 /// directory contains non-symlink disk spans that other clones link to is
 /// not tracked here; plants only ever pass their own clone directories.
+/// Consults the store.remove fault hook: a failed collect is a modeled
+/// event.
 util::Result<IoAccounting> destroy_clone(ArtifactStore* store,
                                          const std::string& clone_dir);
 

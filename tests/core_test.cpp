@@ -10,6 +10,7 @@
 #include "core/ppp.h"
 #include "core/production_line.h"
 #include "core/request.h"
+#include "fault/fault.h"
 #include "hypervisor/hypervisor.h"
 #include "workload/dag_library.h"
 #include "workload/request_gen.h"
@@ -354,17 +355,38 @@ TEST_F(PlantTest, CreateFailsWhenNetworksExhausted) {
   EXPECT_TRUE(plant_->create(workload::workspace_request(32, 10, "domain0")).ok());
 }
 
-TEST_F(PlantTest, FailedActionAbortsAndCleansUp) {
+// The configuration-failure cases inject through the plant.configure_action
+// hook (target = action id), which feeds the same retry / error sub-graph /
+// continue machinery as an organic guest failure.
+
+/// The request with an extra guest action Z after I.
+CreateRequest with_action_z(dag::ErrorPolicy policy, int max_retries = 0) {
   CreateRequest request = workload::workspace_request(64, 0, "ufl.edu");
-  // Append a failing action to the DAG.
-  dag::Action boom("Z", "inject-fail");
-  boom.set_param("message", "boom");
-  ASSERT_TRUE(request.config.add_action(boom).ok());
-  ASSERT_TRUE(request.config.add_edge("I", "Z").ok());
+  dag::Action step("Z", "install-package");
+  step.set_param("package", "netcat");
+  step.set_error_policy(policy);
+  step.set_max_retries(max_retries);
+  EXPECT_TRUE(request.config.add_action(step).ok());
+  EXPECT_TRUE(request.config.add_edge("I", "Z").ok());
+  return request;
+}
+
+std::uint64_t configure_faults_fired() {
+  return fault::FaultRegistry::instance().report().count(
+      fault::points::kPlantConfigureAction);
+}
+
+TEST_F(PlantTest, FailedActionAbortsAndCleansUp) {
+  CreateRequest request = with_action_z(dag::ErrorPolicy::kAbort);
+  fault::ScopedFaultPlan scoped(
+      fault::FaultPlan::parse("plant.configure_action:target=Z,times=1,msg=boom")
+          .value());
 
   auto ad = plant_->create(request);
   ASSERT_FALSE(ad.ok());
   EXPECT_EQ(ad.error().code(), util::ErrorCode::kConfigActionFailed);
+  EXPECT_NE(ad.error().message().find("boom"), std::string::npos);
+  EXPECT_EQ(configure_faults_fired(), 1u);
   // No VM left behind; network released.
   EXPECT_EQ(plant_->active_vms(), 0u);
   EXPECT_EQ(plant_->allocator().free_networks(), 4u);
@@ -372,45 +394,40 @@ TEST_F(PlantTest, FailedActionAbortsAndCleansUp) {
 }
 
 TEST_F(PlantTest, RetryPolicySurvivesTransientFailures) {
-  CreateRequest request = workload::workspace_request(64, 0, "ufl.edu");
-  dag::Action flaky("Z", "inject-flaky");
-  flaky.set_param("token", "net-glitch");
-  flaky.set_param("count", "2");
-  flaky.set_error_policy(dag::ErrorPolicy::kRetry);
-  flaky.set_max_retries(2);
-  ASSERT_TRUE(request.config.add_action(flaky).ok());
-  ASSERT_TRUE(request.config.add_edge("I", "Z").ok());
+  CreateRequest request = with_action_z(dag::ErrorPolicy::kRetry, 2);
+  fault::ScopedFaultPlan scoped(
+      fault::FaultPlan::parse("plant.configure_action:target=Z,times=2")
+          .value());
 
   auto ad = plant_->create(request);
   ASSERT_TRUE(ad.ok()) << ad.error().to_string();
   EXPECT_EQ(ad.value().get_integer(attrs::kActionFailures).value(), 0);
+  EXPECT_EQ(configure_faults_fired(), 2u);
 }
 
 TEST_F(PlantTest, RetryPolicyExhaustionAborts) {
-  CreateRequest request = workload::workspace_request(64, 0, "ufl.edu");
-  dag::Action flaky("Z", "inject-flaky");
-  flaky.set_param("token", "hard-glitch");
-  flaky.set_param("count", "5");
-  flaky.set_error_policy(dag::ErrorPolicy::kRetry);
-  flaky.set_max_retries(1);  // 2 attempts < 5 failures
-  ASSERT_TRUE(request.config.add_action(flaky).ok());
-  ASSERT_TRUE(request.config.add_edge("I", "Z").ok());
+  // 2 attempts < 5 armed failures.
+  CreateRequest request = with_action_z(dag::ErrorPolicy::kRetry, 1);
+  fault::ScopedFaultPlan scoped(
+      fault::FaultPlan::parse("plant.configure_action:target=Z,times=5")
+          .value());
   EXPECT_FALSE(plant_->create(request).ok());
+  EXPECT_EQ(configure_faults_fired(), 2u);
 }
 
 TEST_F(PlantTest, ContinuePolicyRecordsFailureInClassad) {
-  CreateRequest request = workload::workspace_request(64, 0, "ufl.edu");
-  dag::Action boom("Z", "inject-fail");
-  boom.set_param("message", "optional step broke");
-  boom.set_error_policy(dag::ErrorPolicy::kContinue);
-  ASSERT_TRUE(request.config.add_action(boom).ok());
-  ASSERT_TRUE(request.config.add_edge("I", "Z").ok());
+  CreateRequest request = with_action_z(dag::ErrorPolicy::kContinue);
+  fault::ScopedFaultPlan scoped(
+      fault::FaultPlan::parse(
+          "plant.configure_action:target=Z,times=1,msg=optional step broke")
+          .value());
 
   auto ad = plant_->create(request);
   ASSERT_TRUE(ad.ok()) << ad.error().to_string();
   EXPECT_EQ(ad.value().get_integer(attrs::kActionFailures).value(), 1);
   EXPECT_NE(ad.value().get_string("ActionFailure_Z").value().find("broke"),
             std::string::npos);
+  EXPECT_EQ(configure_faults_fired(), 1u);
 }
 
 TEST_F(PlantTest, ErrorSubgraphRepairsAndRetries) {

@@ -256,7 +256,7 @@ TEST(DagBuilderTest, CyclicTryBuildFails) {
 
 TEST(DagXmlTest, RoundTripPreservesStructure) {
   ConfigDag d = diamond();
-  Action flaky("E", "inject-flaky");
+  Action flaky("E", "install-package");
   flaky.set_param("token", "t1");
   flaky.set_param("count", "2");
   flaky.set_error_policy(ErrorPolicy::kRetry);

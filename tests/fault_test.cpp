@@ -1,12 +1,15 @@
-// Fault-injection framework tests: FaultPlan parsing (spec string and XML),
-// rule semantics (after/times/target/probability/windows), deterministic
-// replay, and the zero-impact guarantee of a disarmed registry.
+// Fault-injection framework tests: FaultPlan parsing, rule semantics
+// (after/times/target/probability/windows), deterministic replay, the
+// zero-impact guarantee of a disarmed registry, and partial-tree cleanup
+// that an armed store.remove rule cannot block.
 #include <gtest/gtest.h>
 
 #include <filesystem>
 
 #include "core/plant.h"
 #include "fault/fault.h"
+#include "hypervisor/hypervisor.h"
+#include "storage/clone_ops.h"
 #include "util/error.h"
 #include "util/retry.h"
 #include "warehouse/warehouse.h"
@@ -99,28 +102,6 @@ TEST(FaultPlanTest, SpecStringRoundTrips) {
   ASSERT_EQ(reparsed.value().rules().size(), 3u);
   EXPECT_EQ(reparsed.value().rules()[0].after, 2u);
   EXPECT_EQ(reparsed.value().rules()[1].probability, 0.25);
-}
-
-TEST(FaultPlanTest, XmlFormMatchesSpecForm) {
-  auto from_xml = FaultPlan::from_xml_string(
-      "<fault-plan seed=\"5\">"
-      "<fault point=\"store.write\" target=\"clones\" times=\"1\"/>"
-      "<fault point=\"bus.timeout\" p=\"0.5\"/>"
-      "</fault-plan>");
-  ASSERT_TRUE(from_xml.ok()) << from_xml.error().to_string();
-  auto from_spec =
-      FaultPlan::parse("store.write:target=clones,times=1;bus.timeout:p=0.5", 5);
-  ASSERT_TRUE(from_spec.ok());
-  EXPECT_EQ(from_xml.value().to_spec_string(),
-            from_spec.value().to_spec_string());
-  EXPECT_EQ(from_xml.value().seed(), 5u);
-}
-
-TEST(FaultPlanTest, XmlRejectsUnknownPointToo) {
-  auto plan = FaultPlan::from_xml_string(
-      "<fault-plan><fault point=\"nope\"/></fault-plan>");
-  ASSERT_FALSE(plan.ok());
-  EXPECT_EQ(plan.error().code(), ErrorCode::kParseError);
 }
 
 // -- Registry semantics --------------------------------------------------------------
@@ -270,6 +251,94 @@ TEST_F(FaultZeroImpactTest, DisarmedRegistryChangesNothing) {
     EXPECT_GT(FaultRegistry::instance().checks(), 0u);
   }
   EXPECT_EQ(baseline, empty_armed);
+}
+
+// -- Cleanup of half-built trees cannot be blocked (DESIGN.md §7) ------------------
+
+// Each case arms a write fault that aborts a clone or publish plus a
+// store.remove rule: the abort still removes its partial tree, and the rule
+// stays armed for the removal it models.
+class StoreRemoveCleanupTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    root_ = std::filesystem::temp_directory_path() /
+            ("vmp-fault-cleanup-" + std::to_string(::getpid()) + "-" +
+             ::testing::UnitTest::GetInstance()->current_test_info()->name());
+    std::filesystem::remove_all(root_);
+    store_ = std::make_unique<storage::ArtifactStore>(root_);
+    spec_.os = "linux";
+    spec_.memory_bytes = 32ull << 20;
+    spec_.suspended = true;
+    spec_.disk = {"disk0", 128ull << 20, 2, storage::DiskMode::kNonPersistent};
+    ASSERT_TRUE(storage::materialize_image(store_.get(), golden_, spec_).ok());
+  }
+  void TearDown() override {
+    store_.reset();
+    std::filesystem::remove_all(root_);
+  }
+
+  std::uint64_t removes_fired() const {
+    return FaultRegistry::instance().fired(fault::points::kStoreRemove);
+  }
+
+  std::filesystem::path root_;
+  std::unique_ptr<storage::ArtifactStore> store_;
+  storage::MachineSpec spec_;
+  const storage::ImageLayout golden_{"golden"};
+};
+
+TEST_F(StoreRemoveCleanupTest, FailedCloneImageLeavesNoTree) {
+  ScopedFaultPlan scoped(
+      FaultPlan::parse("store.write:target=clones,times=1;store.remove:times=1")
+          .value());
+  auto failed = storage::clone_image(store_.get(), golden_, spec_, "clones/c1",
+                                     storage::CloneStrategy::kLinked);
+  ASSERT_FALSE(failed.ok());
+  EXPECT_FALSE(store_->exists("clones/c1"));
+  EXPECT_EQ(removes_fired(), 0u);
+
+  // Collecting a clone is a modeled removal: it fails once, then succeeds.
+  ASSERT_TRUE(storage::clone_image(store_.get(), golden_, spec_, "clones/c2",
+                                   storage::CloneStrategy::kLinked)
+                  .ok());
+  auto blocked = storage::destroy_clone(store_.get(), "clones/c2");
+  ASSERT_FALSE(blocked.ok());
+  EXPECT_EQ(blocked.error().code(), ErrorCode::kUnavailable);
+  EXPECT_TRUE(store_->exists("clones/c2"));
+  EXPECT_EQ(removes_fired(), 1u);
+  EXPECT_TRUE(storage::destroy_clone(store_.get(), "clones/c2").ok());
+  EXPECT_FALSE(store_->exists("clones/c2"));
+}
+
+TEST_F(StoreRemoveCleanupTest, FailedHypervisorCloneLeavesNoTree) {
+  hv::Hypervisor hypervisor("vmware-gsx", store_.get());
+  hv::CloneSource source;
+  source.layout = golden_;
+  source.spec = spec_;
+  ScopedFaultPlan scoped(
+      FaultPlan::parse("store.write:target=guest.state,times=1;"
+                       "store.remove:times=1")
+          .value());
+  ASSERT_FALSE(hypervisor.clone_vm(source, "clones/vm1", "vm1").ok());
+  EXPECT_FALSE(store_->exists("clones/vm1"));
+  EXPECT_EQ(hypervisor.instance_count(), 0u);
+  EXPECT_EQ(removes_fired(), 0u);
+}
+
+TEST_F(StoreRemoveCleanupTest, FailedPublishLeavesNoTree) {
+  warehouse::Warehouse warehouse(store_.get(), "warehouse");
+  warehouse::GoldenImage image;
+  image.id = "g1";
+  image.backend = "vmware-gsx";
+  image.spec = spec_;
+  ScopedFaultPlan scoped(
+      FaultPlan::parse("store.write:target=descriptor.xml,times=1;"
+                       "store.remove:times=1")
+          .value());
+  ASSERT_FALSE(warehouse.publish(image).ok());
+  EXPECT_FALSE(store_->exists("warehouse/g1"));
+  EXPECT_FALSE(warehouse.claimed("g1"));
+  EXPECT_EQ(removes_fired(), 0u);
 }
 
 // -- Retry policy arithmetic ---------------------------------------------------------

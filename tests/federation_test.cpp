@@ -157,7 +157,7 @@ TEST_F(FederationTest, SecondEstimateServedFromCacheWithZeroDownstreamMessages) 
 TEST_F(FederationTest, FederationRunsOverBinaryWireFormat) {
   // The refresh batches and cached-bid replies are ordinary bus messages,
   // so the binary codec (net/codec.h) carries them unchanged.
-  net::MessageBus binbus(net::BusConfig{net::WireFormat::kBinary, 7});
+  net::MessageBus binbus(net::BusConfig{net::WireFormat::kBinary});
   net::ServiceRegistry registry;
   auto plant = make_plant("binM0");
   ASSERT_TRUE(plant->attach_to_bus(&binbus, nullptr).ok());
@@ -406,7 +406,6 @@ TEST_F(FederationTest, BidTimeoutHookLosesOneBidOnly) {
 
   core::ShopConfig sc;
   sc.name = "shopK";
-  sc.bid_timeout_s = 0.25;
   core::VmShop shop(sc, &bus_, &registry_);
   ASSERT_TRUE(shop.attach_to_bus().ok());
 

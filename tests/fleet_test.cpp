@@ -590,13 +590,20 @@ TEST_F(FleetAggregatorTest, HealthPenaltySteersTiedBidsToHealthyPlant) {
   });
 
   std::vector<core::Bid> bids{{"plant0", 10.0}, {"plant1", 10.0}};
-  // plant1's effective cost is 10 * (1 + 1.0 * 0.8) = 18.
-  EXPECT_DOUBLE_EQ(shop.effective_cost(bids[1]), 18.0);
   for (int i = 0; i < 16; ++i) {
     auto chosen = shop.select_bid(bids);
     ASSERT_TRUE(chosen.has_value());
     EXPECT_EQ(chosen->plant_address, "plant0");
   }
+
+  // plant1's effective cost is 10 * (1 + 1.0 * 0.8) = 18: a healthy bid
+  // just under it wins, one just over it loses.
+  auto under = shop.select_bid({{"plant0", 17.9}, {"plant1", 10.0}});
+  ASSERT_TRUE(under.has_value());
+  EXPECT_EQ(under->plant_address, "plant0");
+  auto over = shop.select_bid({{"plant0", 18.1}, {"plant1", 10.0}});
+  ASSERT_TRUE(over.has_value());
+  EXPECT_EQ(over->plant_address, "plant1");
 }
 
 TEST_F(FleetAggregatorTest, ZeroWeightKeepsPaperSelectionAndRng) {

@@ -1,6 +1,7 @@
 // Unit tests for message envelopes, the in-process bus, and the registry.
 #include <gtest/gtest.h>
 
+#include "fault/fault.h"
 #include "net/bus.h"
 #include "net/message.h"
 #include "net/registry.h"
@@ -124,22 +125,28 @@ TEST(BusTest, DownEndpointRefusesCalls) {
 }
 
 TEST(BusTest, DropRateProducesTimeouts) {
-  MessageBus bus(7);
+  MessageBus bus;
   ASSERT_TRUE(bus.register_endpoint("flaky", [](const Message& m) {
                    return Message::response_to(m);
                  }).ok());
-  bus.set_drop_rate("flaky", 1.0);
-  auto r = bus.call(Message::request("svc", "a", "flaky", "c"));
-  ASSERT_FALSE(r.ok());
-  EXPECT_EQ(r.error().code(), util::ErrorCode::kTimeout);
+  {
+    fault::ScopedFaultPlan scoped(
+        fault::FaultPlan::parse("bus.timeout:target=flaky,p=1", 7).value());
+    auto r = bus.call(Message::request("svc", "a", "flaky", "c"));
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.error().code(), util::ErrorCode::kTimeout);
+  }
 
-  bus.set_drop_rate("flaky", 0.5);
+  fault::ScopedFaultPlan scoped(
+      fault::FaultPlan::parse("bus.timeout:target=flaky,p=0.5", 7).value());
   int timeouts = 0;
   for (int i = 0; i < 200; ++i) {
     if (!bus.call(Message::request("svc", "a", "flaky", "c")).ok()) ++timeouts;
   }
   EXPECT_GT(timeouts, 50);
   EXPECT_LT(timeouts, 150);
+  EXPECT_EQ(fault::FaultRegistry::instance().fired("bus.timeout"),
+            static_cast<std::uint64_t>(timeouts));
 }
 
 TEST(BusTest, StatsCountCallsAndBytes) {

@@ -147,9 +147,8 @@ class FaultTest : public ::testing::Test {
 TEST_F(FaultTest, ShopToleratesLossyTransport) {
   // 40% of calls to every plant time out; the shop must still complete a
   // burst of creations by skipping unlucky bids and retrying next-best.
-  for (int i = 0; i < 3; ++i) {
-    bus_.set_drop_rate("plant" + std::to_string(i), 0.4);
-  }
+  fault::ScopedFaultPlan scoped(
+      fault::FaultPlan::parse("bus.timeout:target=plant,p=0.4", 1).value());
   int successes = 0;
   for (int i = 0; i < 20; ++i) {
     auto ad = shop_->create(workload::workspace_request(32, i, "d"));
