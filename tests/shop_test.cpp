@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <map>
 
 #include "core/plant.h"
 #include "core/shop.h"
@@ -264,6 +265,103 @@ TEST_F(ShopTest, PublishMessageAdmitsAndBackpressures) {
   EXPECT_FALSE(warehouse_->contains("oversized-img"));
 
   shop_->set_lifecycle(nullptr);
+}
+
+/// Paper §3.4 over the real bidding protocol, as bench/cost_function
+/// drives it: two plants A and B, 4 host-only networks each, 32 VMs each,
+/// one client domain, registry discovery and bus estimates.
+class PaperCostTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    root_ = std::filesystem::temp_directory_path() /
+            ("vmp-papercost-test-" + std::to_string(::getpid()) + "-" +
+             ::testing::UnitTest::GetInstance()->current_test_info()->name());
+    std::filesystem::remove_all(root_);
+    store_ = std::make_unique<storage::ArtifactStore>(root_);
+    warehouse_ =
+        std::make_unique<warehouse::Warehouse>(store_.get(), "warehouse");
+    ASSERT_TRUE(workload::publish_paper_goldens(warehouse_.get(), {32}).ok());
+  }
+  void TearDown() override {
+    shop_.reset();
+    plants_.clear();
+    warehouse_.reset();
+    store_.reset();
+    std::filesystem::remove_all(root_);
+  }
+
+  void make_site(const std::string& cost_model) {
+    for (const char* name : {"plantA", "plantB"}) {
+      PlantConfig config;
+      config.name = name;
+      config.cost_model = cost_model;
+      config.host_only_networks = 4;
+      config.max_vms = 32;
+      plants_.push_back(
+          std::make_unique<VmPlant>(config, store_.get(), warehouse_.get()));
+      ASSERT_TRUE(plants_.back()->attach_to_bus(&bus_, &registry_).ok());
+    }
+    shop_ = std::make_unique<VmShop>(ShopConfig{}, &bus_, &registry_);
+    ASSERT_TRUE(shop_->attach_to_bus().ok());
+  }
+
+  /// Bid the request, then create it; returns the winning plant.
+  std::string bid_and_create(int i, std::map<std::string, double>* bids) {
+    const CreateRequest request = workload::workspace_request(32, i, "ufl.edu");
+    for (const Bid& bid : shop_->collect_bids(request)) {
+      (*bids)[bid.plant_address] = bid.cost;
+    }
+    auto ad = shop_->create(request);
+    EXPECT_TRUE(ad.ok()) << ad.error().to_string();
+    return ad.ok() ? ad.value().get_string(attrs::kPlant).value_or("") : "";
+  }
+
+  std::filesystem::path root_;
+  std::unique_ptr<storage::ArtifactStore> store_;
+  std::unique_ptr<warehouse::Warehouse> warehouse_;
+  net::MessageBus bus_;
+  net::ServiceRegistry registry_;
+  std::vector<std::unique_ptr<VmPlant>> plants_;
+  std::unique_ptr<VmShop> shop_;
+};
+
+TEST_F(PaperCostTest, NetworkComputeCrossesOverAtRequest14) {
+  make_site("network-compute");
+  std::string first;
+  for (int i = 0; i < 16; ++i) {
+    std::map<std::string, double> bids;
+    const std::string winner = bid_and_create(i, &bids);
+    ASSERT_EQ(bids.size(), 2u) << "request #" << i + 1;
+    if (i == 0) {
+      first = winner;
+      EXPECT_DOUBLE_EQ(bids["plantA"], 50.0);
+      EXPECT_DOUBLE_EQ(bids["plantB"], 50.0);
+      continue;
+    }
+    const std::string other = first == "plantA" ? "plantB" : "plantA";
+    if (i < 13) {
+      // Compute cost 4 x resident VMs beats the other plant's network 50.
+      EXPECT_DOUBLE_EQ(bids[first], 4.0 * i) << "request #" << i + 1;
+      EXPECT_DOUBLE_EQ(bids[other], 50.0) << "request #" << i + 1;
+      EXPECT_EQ(winner, first) << "request #" << i + 1;
+    } else if (i == 13) {
+      // Request #14: 13 VMs cost 52 > 50, so the second plant wins.
+      EXPECT_DOUBLE_EQ(bids[first], 52.0);
+      EXPECT_DOUBLE_EQ(bids[other], 50.0);
+      EXPECT_EQ(winner, other);
+    }
+  }
+  EXPECT_EQ(plants_[0]->active_vms() + plants_[1]->active_vms(), 16u);
+}
+
+TEST_F(PaperCostTest, MemoryAvailableAblationSpreadsFourAndFour) {
+  make_site("memory-available");
+  for (int i = 0; i < 8; ++i) {
+    std::map<std::string, double> bids;
+    (void)bid_and_create(i, &bids);
+  }
+  EXPECT_EQ(plants_[0]->active_vms(), 4u);
+  EXPECT_EQ(plants_[1]->active_vms(), 4u);
 }
 
 }  // namespace
