@@ -58,7 +58,7 @@ struct ShopConfig {
   /// plant with exponential backoff in sim-time; application faults
   /// reported by a plant mark it failed for the rest of the request and
   /// trigger failover to the next-best bid.
-  util::RetryPolicy retry;
+  util::RetryPolicy retry{};
   /// How strongly plant health (from the fleet aggregator, [0, 1]) penalizes
   /// a bid: effective cost = cost * (1 + weight * (1 - health)).  0 (the
   /// default) disables the penalty entirely — selection is byte-for-byte

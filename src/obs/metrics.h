@@ -111,7 +111,7 @@ struct TimerStats {
   double p90_s = 0.0;
   double p99_s = 0.0;
   double p999_s = 0.0;
-  HistogramSnapshot hist;
+  HistogramSnapshot hist{};
 
   /// Recompute the p* fields from `hist` (no-op when hist is empty).
   void refresh_quantiles();
