@@ -54,19 +54,15 @@ double stub_cost(std::size_t index) {
   return 10.0 + static_cast<double>((index * 2654435761ull) % 9973) / 100.0;
 }
 
-/// Register a stub plant endpoint: prices estimates and estimate_batch
-/// from the cost function and answers creates with a minimal classad.
-/// No storage, hypervisor, or production line — pure routing target.
+/// Register a stub plant endpoint: prices estimate_batch from the cost
+/// function and answers creates with a minimal classad.  No storage,
+/// hypervisor, or production line — pure routing target.
 void register_stub_plant(net::MessageBus* bus, const std::string& name,
                          std::size_t index) {
   const double cost = stub_cost(index);
   auto handler = [name, cost](const net::Message& m) -> net::Message {
     net::Message response = net::Message::response_to(m);
-    if (m.service() == "vmplant.estimate") {
-      xml::Element& bid = response.body().add_child("bid");
-      bid.set_attr("plant", name);
-      bid.set_attr("cost", util::format_double(cost));
-    } else if (m.service() == "vmplant.estimate_batch") {
+    if (m.service() == "vmplant.estimate_batch") {
       xml::Element& bids = response.body().add_child("bids");
       for (const xml::Element* cls : m.body().children_named("class")) {
         if (!cls->has_attr("key")) continue;

@@ -102,25 +102,25 @@ PlantSnapshot VmPlant::snapshot() const {
   return snap;
 }
 
-PlantLoad VmPlant::load_for(const CreateRequest& request) const {
+PlantLoad VmPlant::load_for(const BidAsk& ask) const {
   const PlantSnapshot snap = snapshot();
   PlantLoad load;
   load.active_vms = snap.active_vms;
   load.max_vms = config_.max_vms;
   load.host_memory_bytes = config_.host_memory_bytes;
   load.resident_memory_bytes = snap.resident_memory_bytes;
-  load.needs_new_network = allocator_.needs_new_network(request.domain);
-  load.network_available = allocator_.can_serve(request.domain);
-  load.request_memory_bytes = request.hardware.memory_bytes;
+  load.needs_new_network = allocator_.needs_new_network(ask.domain);
+  load.network_available = allocator_.can_serve(ask.domain);
+  load.request_memory_bytes = ask.memory_bytes;
   return load;
 }
 
-Result<double> VmPlant::estimate(const CreateRequest& request) const {
+Result<double> VmPlant::estimate(const BidAsk& ask) const {
   // No plant lock: the snapshot and allocator queries are internally
   // synchronized, and a bid is an estimate by nature — it may be stale the
   // moment it is produced (the shop re-validates by actually creating).
-  VMP_RETURN_IF_ERROR_AS(request.validate(), double);
-  return cost_model_->estimate(load_for(request));
+  VMP_RETURN_IF_ERROR_AS(ask.validate(), double);
+  return cost_model_->estimate(load_for(ask));
 }
 
 Result<classad::ClassAd> VmPlant::create(const CreateRequest& request) {
@@ -559,7 +559,7 @@ void VmPlant::detach_from_bus() {
 net::Message VmPlant::handle_message(const net::Message& request_msg) {
   const std::string& service = request_msg.service();
 
-  if (service == "vmplant.estimate" || service == "vmplant.create") {
+  if (service == "vmplant.create") {
     const xml::Element* req_elem = request_msg.body().child("create-request");
     if (req_elem == nullptr) {
       return net::Message::fault_to(
@@ -570,15 +570,6 @@ net::Message VmPlant::handle_message(const net::Message& request_msg) {
     if (!request.ok()) {
       return net::Message::fault_to(request_msg, request.error());
     }
-    if (service == "vmplant.estimate") {
-      auto cost = estimate(request.value());
-      if (!cost.ok()) return net::Message::fault_to(request_msg, cost.error());
-      net::Message response = net::Message::response_to(request_msg);
-      xml::Element& bid = response.body().add_child("bid");
-      bid.set_attr("plant", config_.name);
-      bid.set_attr("cost", util::format_double(cost.value()));
-      return response;
-    }
     auto ad = create(request.value());
     if (!ad.ok()) return net::Message::fault_to(request_msg, ad.error());
     net::Message response = net::Message::response_to(request_msg);
@@ -587,17 +578,17 @@ net::Message VmPlant::handle_message(const net::Message& request_msg) {
   }
 
   if (service == "vmplant.estimate_batch") {
-    // Federation refresh traffic (DESIGN.md §16): one message prices many
-    // DAG-classes.  Classes this plant cannot price are simply absent from
-    // the reply — a batch never faults as a whole for one bad class.
+    // The one pricing service: a shop's bid is a one-class batch, a
+    // broker's refresh prices every cached class at once (DESIGN.md §16).
+    // Classes this plant cannot price are simply absent from the reply — a
+    // batch never faults as a whole for one bad class.
     net::Message response = net::Message::response_to(request_msg);
     xml::Element& bids = response.body().add_child("bids");
     for (const xml::Element* cls : request_msg.body().children_named("class")) {
-      const xml::Element* req_elem = cls->child("create-request");
-      if (req_elem == nullptr || !cls->has_attr("key")) continue;
-      auto request = CreateRequest::from_xml(*req_elem);
-      if (!request.ok()) continue;
-      auto cost = estimate(request.value());
+      if (!cls->has_attr("key")) continue;
+      auto ask = BidAsk::from_xml(*cls);
+      if (!ask.ok()) continue;
+      auto cost = estimate(ask.value());
       if (!cost.ok()) continue;
       xml::Element& bid = bids.add_child("bid");
       bid.set_attr("class", cls->attr("key"));

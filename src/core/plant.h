@@ -81,8 +81,8 @@ class VmPlant {
   const PlantConfig& config() const { return config_; }
 
   // -- Direct (in-process) service interface --------------------------------
-  /// Estimate the cost of serving `request` (the bid).
-  util::Result<double> estimate(const CreateRequest& request) const;
+  /// Estimate the cost of serving a request with this ask (the bid).
+  util::Result<double> estimate(const BidAsk& ask) const;
 
   /// Create a VM; returns its classad.  Independent creations overlap:
   /// the plant only serializes instance-table bookkeeping, not the
@@ -157,8 +157,10 @@ class VmPlant {
 
   // -- Bus integration --------------------------------------------------------
   /// Register this plant's endpoint and publish it in the registry.
-  /// Service names on the wire: vmplant.estimate / estimate_batch / create
-  /// / query / collect.
+  /// Service names on the wire: vmplant.estimate_batch / create / query /
+  /// collect.  estimate_batch is the one pricing service: each <class key>
+  /// carries a BidAsk, and the reply's <bids> holds one <bid class cost>
+  /// per class this plant can serve.  Only create carries the DAG.
   util::Status attach_to_bus(net::MessageBus* bus,
                              net::ServiceRegistry* registry);
   void detach_from_bus();
@@ -168,7 +170,7 @@ class VmPlant {
   net::Message handle_message(const net::Message& request_msg);
   util::Result<classad::ClassAd> create_impl(const CreateRequest& request);
   PlantSnapshot snapshot() const;
-  PlantLoad load_for(const CreateRequest& request) const;
+  PlantLoad load_for(const BidAsk& ask) const;
 
   PlantConfig config_;
   storage::ArtifactStore* store_;

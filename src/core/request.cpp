@@ -45,15 +45,7 @@ Status CreateRequest::validate() const {
   if (request_id.empty()) {
     return Status(ErrorCode::kInvalidArgument, "request_id must not be empty");
   }
-  if (domain.empty()) {
-    return Status(ErrorCode::kInvalidArgument,
-                  "client domain must not be empty (host-only network "
-                  "assignment requires it)");
-  }
-  if (hardware.memory_bytes == 0) {
-    return Status(ErrorCode::kInvalidArgument,
-                  "hardware memory requirement must be specified");
-  }
+  VMP_RETURN_IF_ERROR(BidAsk::of(*this).validate());
   return config.validate();
 }
 
@@ -108,6 +100,56 @@ Result<CreateRequest> CreateRequest::from_xml_string(const std::string& text) {
   auto doc = xml::parse(text);
   if (!doc.ok()) return doc.propagate<CreateRequest>();
   return from_xml(*doc.value());
+}
+
+BidAsk BidAsk::of(const CreateRequest& request) {
+  return BidAsk{request.backend, request.hardware.os,
+                request.hardware.memory_bytes,
+                request.hardware.min_disk_bytes, request.domain};
+}
+
+std::string BidAsk::class_key() const {
+  return backend + "|" + os + "|" + std::to_string(memory_bytes) + "|" +
+         std::to_string(min_disk_bytes) + "|" + domain;
+}
+
+Status BidAsk::validate() const {
+  if (domain.empty()) {
+    return Status(ErrorCode::kInvalidArgument,
+                  "client domain must not be empty (host-only network "
+                  "assignment requires it)");
+  }
+  if (memory_bytes == 0) {
+    return Status(ErrorCode::kInvalidArgument,
+                  "hardware memory requirement must be specified");
+  }
+  return Status();
+}
+
+void BidAsk::to_xml(xml::Element* parent) const {
+  xml::Element& ask = parent->add_child("ask");
+  ask.set_attr("backend", backend);
+  ask.set_attr("os", os);
+  ask.set_attr("memory-bytes", std::to_string(memory_bytes));
+  ask.set_attr("min-disk-bytes", std::to_string(min_disk_bytes));
+  ask.set_attr("domain", domain);
+}
+
+Result<BidAsk> BidAsk::from_xml(const xml::Element& parent) {
+  const xml::Element* ask =
+      parent.name() == "ask" ? &parent : parent.child("ask");
+  if (ask == nullptr) {
+    return Result<BidAsk>(Error(ErrorCode::kParseError, "missing <ask>"));
+  }
+  BidAsk out;
+  out.backend = ask->attr("backend");
+  out.os = ask->attr("os");
+  out.memory_bytes =
+      static_cast<std::uint64_t>(ask->attr_int("memory-bytes", 0));
+  out.min_disk_bytes =
+      static_cast<std::uint64_t>(ask->attr_int("min-disk-bytes", 0));
+  out.domain = ask->attr("domain");
+  return out;
 }
 
 }  // namespace vmp::core

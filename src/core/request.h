@@ -54,6 +54,28 @@ struct CreateRequest {
   static util::Result<CreateRequest> from_xml_string(const std::string& text);
 };
 
+/// What a bid prices: the request fields both §3.4 cost models read (the
+/// client domain and the memory size) plus the hardware shape a broker
+/// caches bids by.  An estimate carries this ask, never the DAG, which
+/// travels only with the create.
+struct BidAsk {
+  std::string backend;
+  std::string os;
+  std::uint64_t memory_bytes = 0;
+  std::uint64_t min_disk_bytes = 0;
+  std::string domain;
+
+  static BidAsk of(const CreateRequest& request);
+  /// "backend|os|memory|disk|domain": requests with one key price alike.
+  std::string class_key() const;
+  /// An empty domain or a zero memory size cannot be priced.
+  util::Status validate() const;
+
+  /// An <ask> element.
+  void to_xml(xml::Element* parent) const;
+  static util::Result<BidAsk> from_xml(const xml::Element& parent);
+};
+
 /// Well-known attribute names used in VM classads.
 namespace attrs {
 inline constexpr const char* kVmId = "VMID";

@@ -75,6 +75,9 @@ VmShop::~VmShop() { detach_from_bus(); }
 std::vector<Bid> VmShop::collect_bids(const CreateRequest& request) {
   obs::ScopedSpan span("shop.bid", "vmshop", request.request_id);
   const double start_s = obs::Tracer::instance().now();
+  // Bidders price the ask, not the plan: the DAG goes only to the winner.
+  const BidAsk ask = BidAsk::of(request);
+  const std::string class_key = ask.class_key();
   std::vector<Bid> bids;
   for (const net::ServiceRecord& plant : registry_->discover("vmplant")) {
     // The registry snapshot is a cache (paper §3.1): a plant can detach
@@ -100,9 +103,12 @@ std::vector<Bid> VmShop::collect_bids(const CreateRequest& request) {
       ShopMetrics::get().bid_timeouts->add();
       continue;
     }
-    net::Message m = net::Message::request("vmplant.estimate", config_.name,
-                                           plant.address, request.request_id);
-    request.to_xml(&m.body());
+    net::Message m =
+        net::Message::request("vmplant.estimate_batch", config_.name,
+                              plant.address, request.request_id);
+    xml::Element& cls = m.body().add_child("class");
+    cls.set_attr("key", class_key);
+    ask.to_xml(&cls);
     auto response = net::call_expecting_success(bus_, m);
     if (!response.ok()) {
       const ErrorCode code = response.error().code();
@@ -123,8 +129,14 @@ std::vector<Bid> VmShop::collect_bids(const CreateRequest& request) {
       }
       continue;
     }
-    const xml::Element* bid_elem = response.value().body().child("bid");
-    if (bid_elem == nullptr) continue;
+    // A one-class batch: no <bid> in the reply means the bidder declined.
+    const xml::Element* bids_elem = response.value().body().child("bids");
+    const xml::Element* bid_elem =
+        bids_elem != nullptr ? bids_elem->child("bid") : nullptr;
+    if (bid_elem == nullptr) {
+      kLog.debug() << plant.address << " declined to bid";
+      continue;
+    }
     Bid bid;
     bid.plant_address = plant.address;
     bid.cost = bid_elem->attr_double("cost", 0.0);

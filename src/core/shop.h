@@ -118,8 +118,10 @@ class VmShop {
   }
 
   // -- Bidding (exposed for tests and the cost-function bench) ----------------
-  /// Collect bids for a request from every registered plant.  Plants that
-  /// refuse (fault) are skipped; transport failures are skipped too.
+  /// Collect bids for the request's BidAsk from every registered plant,
+  /// one single-class vmplant.estimate_batch each.  Plants that decline
+  /// (no bid in the reply, or a fault) are skipped; transport failures are
+  /// skipped too.
   std::vector<Bid> collect_bids(const CreateRequest& request);
 
   /// Lowest effective-cost bid.  Ties prefer the healthiest plant (when a

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <memory>
 
 #include "classad/classad.h"
 #include "obs/export.h"
@@ -23,13 +22,7 @@ const util::Logger kLog("federation");
 }  // namespace
 
 std::string dag_class_key(const core::CreateRequest& request) {
-  // Hardware shape + backend + client domain: what the §3.4 cost models
-  // actually price.  Per-user DAG suffixes (user accounts, IPs) ride on
-  // the same aggregate bid.
-  return request.backend + "|" + request.hardware.os + "|" +
-         std::to_string(request.hardware.memory_bytes) + "|" +
-         std::to_string(request.hardware.min_disk_bytes) + "|" +
-         request.domain;
+  return core::BidAsk::of(request).class_key();
 }
 
 ShardBroker::ShardBroker(ShardBrokerConfig config, net::MessageBus* bus,
@@ -119,7 +112,7 @@ double ShardBroker::now() const {
       .count();
 }
 
-double ShardBroker::headroom_multiplier(std::int64_t* headroom_out) const {
+double ShardBroker::headroom_multiplier() const {
   std::function<std::int64_t()> provider;
   {
     std::lock_guard<std::mutex> lock(mutex_);
@@ -134,7 +127,6 @@ double ShardBroker::headroom_multiplier(std::int64_t* headroom_out) const {
     std::lock_guard<std::mutex> lock(mutex_);
     last_headroom_ = headroom;
   }
-  if (headroom_out != nullptr) *headroom_out = headroom;
   const double fraction =
       std::clamp(static_cast<double>(headroom) /
                      static_cast<double>(config_.subtree_budget_bytes),
@@ -166,26 +158,20 @@ std::optional<CachedBid> ShardBroker::cached(
 
 std::map<std::string, std::vector<std::pair<double, std::string>>>
 ShardBroker::collect_member_bids(
-    const std::vector<std::pair<std::string, std::string>>& batch) const {
+    const std::vector<std::pair<std::string, core::BidAsk>>& batch) const {
   std::vector<std::string> member_list;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     member_list = members_;
   }
-  // Parse each class once per refresh; every member's batch gets clones.
-  std::vector<std::pair<std::string, std::unique_ptr<xml::Element>>> classes;
-  for (const auto& [key, request_xml] : batch) {
-    auto parsed = xml::parse(request_xml);
-    if (parsed.ok()) classes.emplace_back(key, std::move(parsed.value()));
-  }
   std::map<std::string, std::vector<std::pair<double, std::string>>> bids;
   for (const std::string& member : member_list) {
     net::Message m = net::Message::request("vmplant.estimate_batch",
                                            config_.name, member, "refresh");
-    for (const auto& [key, request] : classes) {
+    for (const auto& [key, ask] : batch) {
       xml::Element& cls = m.body().add_child("class");
       cls.set_attr("key", key);
-      cls.adopt_child(request->clone());
+      ask.to_xml(&cls);
     }
     auto response = net::call_expecting_success(bus_, m);
     if (!response.ok()) {
@@ -214,12 +200,10 @@ ShardBroker::collect_member_bids(
 std::size_t ShardBroker::refresh_all() {
   obs::ScopedSpan span("broker.refresh", "broker", config_.name);
   const double start_s = obs::Tracer::instance().now();
-  std::vector<std::pair<std::string, std::string>> batch;
+  std::vector<std::pair<std::string, core::BidAsk>> batch;
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    for (const auto& [key, entry] : cache_) {
-      batch.emplace_back(key, entry.request_xml);
-    }
+    for (const auto& [key, entry] : cache_) batch.emplace_back(key, entry.ask);
   }
   if (batch.empty()) return 0;
 
@@ -246,9 +230,8 @@ std::size_t ShardBroker::refresh_all() {
 }
 
 Result<ShardBroker::Selection> ShardBroker::select(
-    const std::string& class_key, const xml::Element& request_body) {
+    const std::string& class_key, const core::BidAsk& ask) {
   bool fresh = false;
-  std::string request_xml;
   std::vector<std::pair<double, std::string>> member_bids;
   const double t = now();
   {
@@ -262,14 +245,6 @@ Result<ShardBroker::Selection> ShardBroker::select(
       fresh = true;
       ++it->second.served;
       member_bids = it->second.member_bids;
-    } else {
-      const xml::Element* req_elem = request_body.child("create-request");
-      if (req_elem == nullptr) {
-        return Result<Selection>(
-            Error(ErrorCode::kParseError, "missing <create-request>"));
-      }
-      request_xml =
-          it != cache_.end() ? it->second.request_xml : req_elem->to_string();
     }
   }
 
@@ -279,7 +254,7 @@ Result<ShardBroker::Selection> ShardBroker::select(
   } else {
     // Miss / stale: synchronous single-class refresh, one batch message
     // per member.  This is the slow path the TTL keeps rare.
-    auto bids = collect_member_bids({{class_key, request_xml}});
+    auto bids = collect_member_bids({{class_key, ask}});
     auto it = bids.find(class_key);
     if (it == bids.end() || it->second.empty()) {
       return Result<Selection>(Error(
@@ -292,7 +267,7 @@ Result<ShardBroker::Selection> ShardBroker::select(
       std::lock_guard<std::mutex> lock(mutex_);
       CachedBid& entry = cache_[class_key];
       entry.member_bids = member_bids;
-      entry.request_xml = request_xml;
+      entry.ask = ask;
       entry.refreshed_at = refreshed_t;
       scoped_cache_size_->set(static_cast<std::int64_t>(cache_.size()));
     }
@@ -302,7 +277,7 @@ Result<ShardBroker::Selection> ShardBroker::select(
 
   Selection selection;
   selection.member_bids = std::move(member_bids);
-  const double multiplier = headroom_multiplier(&selection.headroom);
+  const double multiplier = headroom_multiplier();
   selection.effective_cost =
       (selection.member_bids.front().first + config_.bid_markup) * multiplier;
   return selection;
@@ -310,7 +285,6 @@ Result<ShardBroker::Selection> ShardBroker::select(
 
 net::Message ShardBroker::handle_message(const net::Message& request_msg) {
   const std::string& service = request_msg.service();
-  if (service == "vmplant.estimate") return handle_estimate(request_msg);
   if (service == "vmplant.estimate_batch") return handle_batch(request_msg);
   if (service == "vmplant.create") return handle_create(request_msg);
   if (service == "vmplant.query" || service == "vmplant.collect") {
@@ -321,39 +295,18 @@ net::Message ShardBroker::handle_message(const net::Message& request_msg) {
       Error(ErrorCode::kInvalidArgument, "unknown service: " + service));
 }
 
-net::Message ShardBroker::handle_estimate(const net::Message& request_msg) {
-  const xml::Element* req_elem = request_msg.body().child("create-request");
-  if (req_elem == nullptr) {
-    return net::Message::fault_to(
-        request_msg, Error(ErrorCode::kParseError, "missing <create-request>"));
-  }
-  auto request = core::CreateRequest::from_xml(*req_elem);
-  if (!request.ok()) {
-    return net::Message::fault_to(request_msg, request.error());
-  }
-  auto selection = select(dag_class_key(request.value()), request_msg.body());
-  if (!selection.ok()) {
-    return net::Message::fault_to(request_msg, selection.error());
-  }
-  net::Message reply = net::Message::response_to(request_msg);
-  xml::Element& bid = reply.body().add_child("bid");
-  bid.set_attr("plant", config_.name);
-  bid.set_attr("cost", util::format_double(selection.value().effective_cost));
-  bid.set_attr("via", selection.value().member_bids.front().second);
-  bid.set_attr("headroom",
-               std::to_string(selection.value().headroom));
-  return reply;
-}
-
 net::Message ShardBroker::handle_batch(const net::Message& request_msg) {
-  // A parent broker refreshing its subtree: answer every requested class
-  // from this shard's cache (stale classes take the synchronous
-  // single-class path), one response message for the whole batch.
+  // The one pricing handler: a shop's one-class bid or a parent broker's
+  // refresh.  Every class is answered from this shard's cache (stale
+  // classes take the synchronous single-class path), one response message
+  // for the whole batch.
   net::Message reply = net::Message::response_to(request_msg);
   xml::Element& bids = reply.body().add_child("bids");
   for (const xml::Element* cls : request_msg.body().children_named("class")) {
     if (!cls->has_attr("key")) continue;
-    auto selection = select(cls->attr("key"), *cls);
+    auto ask = core::BidAsk::from_xml(*cls);
+    if (!ask.ok() || !ask.value().validate().ok()) continue;
+    auto selection = select(cls->attr("key"), ask.value());
     if (!selection.ok()) continue;  // nobody in this subtree priced it
     xml::Element& bid = bids.add_child("bid");
     bid.set_attr("class", cls->attr("key"));
@@ -374,8 +327,9 @@ net::Message ShardBroker::handle_create(const net::Message& request_msg) {
   if (!request.ok()) {
     return net::Message::fault_to(request_msg, request.error());
   }
-  const std::string class_key = dag_class_key(request.value());
-  auto selection = select(class_key, request_msg.body());
+  const core::BidAsk ask = core::BidAsk::of(request.value());
+  const std::string class_key = ask.class_key();
+  auto selection = select(class_key, ask);
   if (!selection.ok()) {
     return net::Message::fault_to(request_msg, selection.error());
   }

@@ -15,9 +15,9 @@
 // On top of that the ShardBroker is a federation node:
 //
 //   * it maintains a cached, TTL'd AGGREGATE bid per DAG-class for its
-//     subtree.  A fresh cache entry answers the shop's vmplant.estimate
-//     in O(1) with zero downstream messages, so a shop over N shards
-//     collects bids in O(shards) instead of O(plants);
+//     subtree.  A fresh cache entry answers the shop's one-class
+//     vmplant.estimate_batch in O(1) with zero downstream messages, so a
+//     shop over N shards collects bids in O(shards) instead of O(plants);
 //   * the cache refreshes off the create path: refresh_all() sends ONE
 //     batch message (vmplant.estimate_batch) per child covering every
 //     known DAG-class — children that are plants price each class
@@ -58,10 +58,11 @@
 
 namespace vmp::federation {
 
-/// The bid-cache key: requests that price identically share one cached
-/// aggregate bid.  The paper's cost models (§3.4) bid on plant load plus
-/// the client domain's network affinity, so the key is the request's
-/// hardware shape plus its domain — not the per-user DAG suffix.
+/// The bid-cache key, core::BidAsk::of(request).class_key(): requests that
+/// price identically share one cached aggregate bid.  The paper's cost
+/// models (§3.4) bid on plant load plus the client domain's network
+/// affinity, so the key is the request's hardware shape plus its domain —
+/// not the per-user DAG suffix.
 std::string dag_class_key(const core::CreateRequest& request);
 
 struct ShardBrokerConfig {
@@ -91,8 +92,8 @@ struct ShardBrokerConfig {
 struct CachedBid {
   /// Member bids sorted cheapest-first (the within-shard failover order).
   std::vector<std::pair<double, std::string>> member_bids;
-  /// Representative request for refreshes, serialized once.
-  std::string request_xml;
+  /// What refreshes price this class with.
+  core::BidAsk ask;
   double refreshed_at = -1.0;  // clock seconds; < 0 = never refreshed
   std::uint64_t served = 0;    // estimates answered from this entry
 };
@@ -151,28 +152,26 @@ class ShardBroker {
   struct Selection {
     std::vector<std::pair<double, std::string>> member_bids;
     double effective_cost = 0.0;
-    std::int64_t headroom = 0;
   };
 
   net::Message handle_message(const net::Message& request_msg);
-  net::Message handle_estimate(const net::Message& request_msg);
   net::Message handle_batch(const net::Message& request_msg);
   net::Message handle_create(const net::Message& request_msg);
   net::Message handle_routed(const net::Message& request_msg);
 
   double now() const;
   /// The headroom pressure multiplier, >= 1.0 (1.0 when disabled).
-  double headroom_multiplier(std::int64_t* headroom_out) const;
+  double headroom_multiplier() const;
   /// Serve `class_key` from the cache, refreshing it synchronously (one
   /// batch message per member, this class only) when missing or stale.
   util::Result<Selection> select(const std::string& class_key,
-                                 const xml::Element& request_body);
-  /// Collect member bids for the classes in `batch` (key -> request xml)
-  /// with one vmplant.estimate_batch per member.  Returns per-class
-  /// sorted member bids; classes nobody priced are absent.
+                                 const core::BidAsk& ask);
+  /// Collect member bids for the classes in `batch` (key -> ask) with one
+  /// vmplant.estimate_batch per member.  Returns per-class sorted member
+  /// bids; classes nobody priced are absent.
   std::map<std::string, std::vector<std::pair<double, std::string>>>
-  collect_member_bids(const std::vector<std::pair<std::string, std::string>>&
-                          batch) const;
+  collect_member_bids(
+      const std::vector<std::pair<std::string, core::BidAsk>>& batch) const;
 
   ShardBrokerConfig config_;
   net::MessageBus* bus_;

@@ -291,7 +291,7 @@ TEST_F(PlantTest, PppPrefersMostConfiguredGolden) {
 
 TEST_F(PlantTest, EstimateFollowsPaperCostModel) {
   CreateRequest request = workload::workspace_request(64, 0, "ufl.edu");
-  auto bid = plant_->estimate(request);
+  auto bid = plant_->estimate(BidAsk::of(request));
   ASSERT_TRUE(bid.ok());
   EXPECT_DOUBLE_EQ(bid.value(), 50.0);  // network cost for a new domain
 }

@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <set>
 
 #include "cluster/deployment.h"
 #include "core/fleet.h"
@@ -84,15 +85,45 @@ TEST_F(FederationTest, DagClassKeyGroupsByRequestShape) {
 
 // -- vmplant.estimate_batch (plant side) --------------------------------------------
 
+/// Add a <class key> carrying `ask` to a batch message.
+void add_class(net::Message* m, const core::BidAsk& ask) {
+  xml::Element& cls = m->body().add_child("class");
+  cls.set_attr("key", ask.class_key());
+  ask.to_xml(&cls);
+}
+
+TEST_F(FederationTest, BidAskCarriesTheClassKeyFields) {
+  const auto request = workload::workspace_request(64, 3, "ufl.edu");
+  const core::BidAsk ask = core::BidAsk::of(request);
+  EXPECT_EQ(ask.class_key(), federation::dag_class_key(request));
+  xml::Element wrapper("class");
+  ask.to_xml(&wrapper);
+  auto parsed = core::BidAsk::from_xml(wrapper);
+  ASSERT_TRUE(parsed.ok()) << parsed.error().to_string();
+  EXPECT_EQ(parsed.value().class_key(), ask.class_key());
+  EXPECT_TRUE(parsed.value().validate().ok());
+  EXPECT_FALSE(core::BidAsk::from_xml(xml::Element("class")).ok());
+
+  core::BidAsk no_domain = ask;
+  no_domain.domain.clear();
+  core::BidAsk no_memory = ask;
+  no_memory.memory_bytes = 0;
+  EXPECT_EQ(no_domain.validate().error().code(),
+            util::ErrorCode::kInvalidArgument);
+  EXPECT_EQ(no_memory.validate().error().code(),
+            util::ErrorCode::kInvalidArgument);
+}
+
 TEST_F(FederationTest, PlantPricesBatchOfClasses) {
   auto plant = make_member("batch-plant");
   net::Message m =
       net::Message::request("vmplant.estimate_batch", "t", "batch-plant", "c");
+  std::set<std::string> keys;
   for (std::uint32_t mb : {32u, 64u}) {
-    const auto request = workload::workspace_request(mb, 0, "d");
-    xml::Element& cls = m.body().add_child("class");
-    cls.set_attr("key", federation::dag_class_key(request));
-    request.to_xml(&cls);
+    const auto ask =
+        core::BidAsk::of(workload::workspace_request(mb, 0, "d"));
+    add_class(&m, ask);
+    keys.insert(ask.class_key());
   }
   auto response = net::call_expecting_success(&bus_, m);
   ASSERT_TRUE(response.ok()) << response.error().to_string();
@@ -100,6 +131,7 @@ TEST_F(FederationTest, PlantPricesBatchOfClasses) {
   ASSERT_NE(bids, nullptr);
   EXPECT_EQ(bids->children_named("bid").size(), 2u);
   for (const xml::Element* bid : bids->children_named("bid")) {
+    EXPECT_EQ(keys.count(bid->attr("class")), 1u);
     EXPECT_EQ(bid->attr("plant"), "batch-plant");
     EXPECT_GT(bid->attr_double("cost", -1.0), 0.0);
   }
@@ -109,16 +141,23 @@ TEST_F(FederationTest, BatchSkipsMalformedClassesInsteadOfFaulting) {
   auto plant = make_member("partial-plant");
   net::Message m = net::Message::request("vmplant.estimate_batch", "t",
                                          "partial-plant", "c");
-  const auto good = workload::workspace_request(64, 0, "d");
-  xml::Element& ok_cls = m.body().add_child("class");
-  ok_cls.set_attr("key", federation::dag_class_key(good));
-  good.to_xml(&ok_cls);
-  // A class with no <create-request>: absent from the reply, not fatal.
+  const auto good = core::BidAsk::of(workload::workspace_request(64, 0, "d"));
+  add_class(&m, good);
+  // A class with no <ask>: absent from the reply, not fatal.
   m.body().add_child("class").set_attr("key", "broken");
+  // Asks that cannot be priced: no client domain, no memory size.
+  core::BidAsk no_domain = good;
+  no_domain.domain.clear();
+  add_class(&m, no_domain);
+  core::BidAsk no_memory = good;
+  no_memory.memory_bytes = 0;
+  add_class(&m, no_memory);
   auto response = net::call_expecting_success(&bus_, m);
   ASSERT_TRUE(response.ok()) << response.error().to_string();
-  EXPECT_EQ(response.value().body().child("bids")->children_named("bid").size(),
-            1u);
+  const auto bids =
+      response.value().body().child("bids")->children_named("bid");
+  ASSERT_EQ(bids.size(), 1u);
+  EXPECT_EQ(bids[0]->attr("class"), good.class_key());
 }
 
 // -- Cached bid aggregation ---------------------------------------------------------
@@ -232,8 +271,9 @@ TEST_F(FederationTest, AggregateBidIsCheapestMemberPlusMarkup) {
   ASSERT_TRUE(m0->create(workload::workspace_request(256, 0, "d")).ok());
 
   const auto request = workload::workspace_request(64, 0, "d");
-  const double cheapest = m0->estimate(request).value();
-  ASSERT_LT(cheapest, m1->estimate(request).value());
+  const core::BidAsk ask = core::BidAsk::of(request);
+  const double cheapest = m0->estimate(ask).value();
+  ASSERT_LT(cheapest, m1->estimate(ask).value());
 
   auto shard = make_shard({.name = "fedshardD", .bid_markup = 3.5});
   shard->add_member("mkD0");
@@ -570,11 +610,22 @@ TEST_F(BrokerTest, BrokerWithNoMembersDeclines) {
   federation::ShardBroker empty({.name = "empty", .bid_ttl_s = 0.0}, &bus_,
                                 &registry_);
   ASSERT_TRUE(empty.attach_to_bus().ok());
-  net::Message m = net::Message::request("vmplant.estimate", "x", "empty", "c");
-  workload::workspace_request(64, 0, "d").to_xml(&m.body());
+  const auto request = workload::workspace_request(64, 0, "d");
+  net::Message m =
+      net::Message::request("vmplant.estimate_batch", "x", "empty", "c");
+  add_class(&m, core::BidAsk::of(request));
   auto response = net::call_expecting_success(&bus_, m);
-  ASSERT_FALSE(response.ok());
-  EXPECT_EQ(response.error().code(), util::ErrorCode::kNoBids);
+  ASSERT_TRUE(response.ok()) << response.error().to_string();
+  const xml::Element* bids = response.value().body().child("bids");
+  ASSERT_NE(bids, nullptr);
+  EXPECT_TRUE(bids->children_named("bid").empty());
+
+  // The shop gets no bid from it: public0 and broker0 bid, "empty" does not.
+  std::set<std::string> bidders;
+  for (const core::Bid& bid : shop_->collect_bids(request)) {
+    bidders.insert(bid.plant_address);
+  }
+  EXPECT_EQ(bidders, (std::set<std::string>{"broker0", "public0"}));
 }
 
 TEST_F(BrokerTest, ShopFailsOverWhenChosenMembersFailMidCreate) {
@@ -624,8 +675,9 @@ class VmBrokerSeedTest : public FederationTest {
 
 TEST_F(VmBrokerSeedTest, MarkupArithmeticOnCheapestMember) {
   const auto request = workload::workspace_request(64, 0, "d");
-  const double cheapest = std::min(member0_->estimate(request).value(),
-                                   member1_->estimate(request).value());
+  const core::BidAsk ask = core::BidAsk::of(request);
+  const double cheapest = std::min(member0_->estimate(ask).value(),
+                                   member1_->estimate(ask).value());
   auto bids = shop_->collect_bids(request);
   ASSERT_EQ(bids.size(), 1u);
   EXPECT_EQ(bids[0].plant_address, "seedbroker");

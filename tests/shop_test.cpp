@@ -180,6 +180,59 @@ TEST_F(ShopTest, FailoverWhenChosenPlantFailsCreation) {
   EXPECT_NE(r.value().get_string(attrs::kPlant).value(), "plant0");
 }
 
+TEST_F(ShopTest, EstimateCarriesTheAskNotTheDag) {
+  // A recording vmplant: it keeps every estimate body and declines.
+  std::vector<std::string> services;
+  std::vector<std::unique_ptr<xml::Element>> bodies;
+  ASSERT_TRUE(bus_.register_endpoint("recorder", [&](const net::Message& m) {
+                    services.push_back(m.service());
+                    bodies.push_back(m.body().clone());
+                    net::Message reply = net::Message::response_to(m);
+                    reply.body().add_child("bids");
+                    return reply;
+                  }).ok());
+  registry_.publish({"vmplant", "recorder", {}});
+
+  const CreateRequest request = workload::workspace_request(64, 2, "ufl.edu");
+  const auto bids = shop_->collect_bids(request);
+  EXPECT_EQ(bids.size(), 3u);  // the three plants; the recorder declined
+  for (const Bid& bid : bids) EXPECT_NE(bid.plant_address, "recorder");
+
+  ASSERT_EQ(services.size(), 1u);
+  EXPECT_EQ(services[0], "vmplant.estimate_batch");
+  const xml::Element& body = *bodies[0];
+  ASSERT_EQ(body.children().size(), 1u);
+  const auto classes = body.children_named("class");
+  ASSERT_EQ(classes.size(), 1u);
+  EXPECT_EQ(classes[0]->attr("key"), BidAsk::of(request).class_key());
+  auto ask = BidAsk::from_xml(*classes[0]);
+  ASSERT_TRUE(ask.ok()) << ask.error().to_string();
+  EXPECT_EQ(ask.value().backend, request.backend);
+  EXPECT_EQ(ask.value().os, request.hardware.os);
+  EXPECT_EQ(ask.value().memory_bytes, request.hardware.memory_bytes);
+  EXPECT_EQ(ask.value().min_disk_bytes, request.hardware.min_disk_bytes);
+  EXPECT_EQ(ask.value().domain, request.domain);
+  const std::string text = body.to_string();
+  EXPECT_EQ(text.find("<dag"), std::string::npos) << text;
+  EXPECT_EQ(text.find("<create-request"), std::string::npos) << text;
+  (void)bus_.unregister_endpoint("recorder");
+}
+
+TEST_F(ShopTest, InvalidDagFailsBeforeAnyBid) {
+  CreateRequest request = workload::workspace_request(64, 0, "d1");
+  const auto order = request.config.topological_sort();
+  ASSERT_TRUE(order.ok());
+  ASSERT_TRUE(
+      request.config.add_edge(order.value().back(), order.value().front())
+          .ok());
+  const std::uint64_t calls_before = bus_.calls_total();
+  auto r = shop_->create(request);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.error().code(), util::ErrorCode::kInvalidArgument);
+  EXPECT_NE(r.error().message().find("cycle"), std::string::npos);
+  EXPECT_EQ(bus_.calls_total(), calls_before);
+}
+
 TEST_F(ShopTest, WireProtocolThroughShopEndpoint) {
   // Drive the shop through its *bus* endpoint like an external client.
   CreateRequest request = workload::workspace_request(32, 0, "d1");
