@@ -1,5 +1,7 @@
 #include "common.h"
 
+#include <sys/vfs.h>
+
 #include <cstdio>
 
 namespace vmp::bench {
@@ -56,6 +58,24 @@ void print_summary_row(const std::string& name, const std::string& paper,
                        const std::string& measured) {
   std::printf("SUMMARY %-32s paper=[%s] measured=[%s]\n", name.c_str(),
               paper.c_str(), measured.c_str());
+}
+
+std::string filesystem_type(const std::filesystem::path& dir) {
+  struct statfs fs{};
+  if (::statfs(dir.c_str(), &fs) != 0) return "unknown";
+  switch (static_cast<unsigned long>(fs.f_type)) {
+    case 0x01021994ul: return "tmpfs";
+    case 0xEF53ul: return "ext4";  // ext2/3/4 share one magic
+    case 0x58465342ul: return "xfs";
+    case 0x9123683Eul: return "btrfs";
+    case 0x794C7630ul: return "overlayfs";
+    default: {
+      char hex[32];
+      std::snprintf(hex, sizeof hex, "0x%lx",
+                    static_cast<unsigned long>(fs.f_type));
+      return hex;
+    }
+  }
 }
 
 }  // namespace vmp::bench

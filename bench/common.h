@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstdint>
+#include <filesystem>
 #include <string>
 #include <vector>
 
@@ -47,5 +48,9 @@ void print_histogram(const std::string& label, const util::Histogram& h);
 void print_header(const std::string& artefact, const std::string& paper_claim);
 void print_summary_row(const std::string& name, const std::string& paper,
                        const std::string& measured);
+
+/// The statfs type of `dir` ("tmpfs", "ext4", ... or the hex magic): the
+/// substrate a storage-bound BENCH_JSON row was measured on.
+std::string filesystem_type(const std::filesystem::path& dir);
 
 }  // namespace vmp::bench

@@ -136,15 +136,23 @@ RunResult run_pipeline(bool serialize, std::size_t clients,
   return result;
 }
 
+/// The sandbox filesystem every run's store lives on.  Clone and destroy
+/// are metadata-bound, so the rows are comparable only on one substrate.
+const std::string& sandbox_fs() {
+  static const std::string fs =
+      bench::filesystem_type(std::filesystem::temp_directory_path());
+  return fs;
+}
+
 void report_pipeline(const char* mode, std::size_t clients,
                      const RunResult& run) {
   std::printf("%-10s %8zu %18.1f %10zu\n", mode, clients,
               run.throughput_vm_s, run.failures);
   std::printf("BENCH_JSON {\"name\": \"create.%s.c%zu\", "
               "\"throughput_vm_s\": %.2f, \"clients\": %zu, "
-              "\"failures\": %zu, \"cores\": %u}\n",
+              "\"failures\": %zu, \"cores\": %u, \"fs\": \"%s\"}\n",
               mode, clients, run.throughput_vm_s, clients, run.failures,
-              std::thread::hardware_concurrency());
+              std::thread::hardware_concurrency(), sandbox_fs().c_str());
 }
 
 }  // namespace
@@ -224,8 +232,9 @@ int main() {
 
   const double speedup = serial_c16 > 0.0 ? pipeline_c16 / serial_c16 : 0.0;
   std::printf("BENCH_JSON {\"name\": \"create.speedup.c16\", "
-              "\"speedup\": %.2f, \"cores\": %u}\n",
-              speedup, std::thread::hardware_concurrency());
+              "\"speedup\": %.2f, \"cores\": %u, \"fs\": \"%s\"}\n",
+              speedup, std::thread::hardware_concurrency(),
+              sandbox_fs().c_str());
 
   std::printf("\n");
   char measured[96];

@@ -136,8 +136,7 @@ void BidAsk::to_xml(xml::Element* parent) const {
 }
 
 Result<BidAsk> BidAsk::from_xml(const xml::Element& parent) {
-  const xml::Element* ask =
-      parent.name() == "ask" ? &parent : parent.child("ask");
+  const xml::Element* ask = parent.child("ask");
   if (ask == nullptr) {
     return Result<BidAsk>(Error(ErrorCode::kParseError, "missing <ask>"));
   }

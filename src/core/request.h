@@ -71,7 +71,7 @@ struct BidAsk {
   /// An empty domain or a zero memory size cannot be priced.
   util::Status validate() const;
 
-  /// An <ask> element.
+  /// An <ask> child of `parent` (a bid message's <class key>).
   void to_xml(xml::Element* parent) const;
   static util::Result<BidAsk> from_xml(const xml::Element& parent);
 };

@@ -305,7 +305,7 @@ net::Message ShardBroker::handle_batch(const net::Message& request_msg) {
   for (const xml::Element* cls : request_msg.body().children_named("class")) {
     if (!cls->has_attr("key")) continue;
     auto ask = core::BidAsk::from_xml(*cls);
-    if (!ask.ok() || !ask.value().validate().ok()) continue;
+    if (!ask.ok()) continue;
     auto selection = select(cls->attr("key"), ask.value());
     if (!selection.ok()) continue;  // nobody in this subtree priced it
     xml::Element& bid = bids.add_child("bid");

@@ -15,7 +15,9 @@ baseline opts into gates by including the matching key:
   * "min_speedup_c16" — "create.speedup.c16" (concurrent pipeline vs the
     serialized baseline at 16 clients) must reach it, but only on hosts
     with at least min_cores_for_speedup_gate cores, since the pipeline
-    cannot beat a serialized memcpy on a single-core runner;
+    cannot beat a serialized memcpy on a single-core runner.  The verdict
+    line names the row's cores and sandbox filesystem ("fs"): the ratio
+    depends on the disk as much as on the pipeline;
   * any measurement reporting failures != 0 fails the gate outright.
 
 Exit status 0 = pass, 1 = regression, 2 = bad input.
@@ -133,19 +135,20 @@ def main():
     else:
         speedup = speedup_record.get("speedup", 0.0)
         cores = speedup_record.get("cores", 0)
+        fs = speedup_record.get("fs", "unknown")
         if cores >= min_cores:
             verdict = "ok" if speedup >= min_speedup else "REGRESSED"
             print(f"{'create.speedup.c16':24s} {speedup:10.2f}x     "
-                  f"(required >= {min_speedup:.1f}x on {cores} cores)  "
-                  f"{verdict}")
+                  f"(required >= {min_speedup:.1f}x on {cores} cores, "
+                  f"fs={fs})  {verdict}")
             if speedup < min_speedup:
                 failures.append(f"create.speedup.c16: {speedup:.2f}x is below "
                                 f"the {min_speedup:.1f}x floor "
                                 f"({cores} cores)")
         else:
             print(f"{'create.speedup.c16':24s} {speedup:10.2f}x     "
-                  f"(informational: only {cores} core(s), gate needs "
-                  f">= {min_cores})")
+                  f"(informational: only {cores} core(s), fs={fs}, gate "
+                  f"needs >= {min_cores})")
 
     if failures:
         print("\nbench_gate: FAIL", file=sys.stderr)
